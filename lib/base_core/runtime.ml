@@ -1,181 +1,34 @@
 module Digest = Base_crypto.Digest_t
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
-module Faultplan = Base_sim.Faultplan
 module Types = Base_bft.Types
 module Message = Base_bft.Message
 module Replica = Base_bft.Replica
 module Client = Base_bft.Client
 module Auth = Base_crypto.Auth
 
-type msg =
-  | Bft of Message.envelope
-  | St of { from : int; shard : int; body : State_transfer.msg }
-  | Raw of { from : int; shard : int; macs : string array; bytes : string }
+include Cell.Exported
 
 exception Stalled of string
 
-(* Broken internal wiring (a node record referenced before construction
-   finishes).  Unreachable by design and never message-triggered; kept as a
+(* Broken internal wiring (a node callback ran before construction
+   finished).  Unreachable by design and never message-triggered; kept as a
    dedicated exception so Byzantine-facing paths stay free of [assert]. *)
 exception Internal_error of string
 
-type recovery_stats = {
-  mutable recoveries : int;
-  mutable last_objects_fetched : int;
-  mutable last_bytes_fetched : int;
-  mutable total_objects_fetched : int;
-  mutable total_bytes_fetched : int;
-}
-
-(* One proactive-recovery episode: either reboot-in-place then differential
-   fetch, or (migration) a standby promotion then a catch-up fetch.  The
-   [-1L] sentinels mean "not reached yet" — an episode cut short (e.g. the
-   run ended mid-reboot) keeps them; all duration math goes through the
-   total [span] helper below, never raw field subtraction. *)
-type recovery_timeline = {
-  tl_rid : int;
-  tl_migrated : bool;
-  tl_start_us : int64;
-  mutable tl_reboot_done_us : int64;  (* in-place episodes *)
-  mutable tl_promote_done_us : int64;  (* migration episodes *)
-  mutable tl_staleness_seqs : int;
-      (* migration: certified checkpoint head minus the promoted standby's
-         synced seqno at promotion time (-1 until promotion completes) *)
-  mutable tl_staleness_us : int64;
-      (* migration: promotion time minus the standby's last sync completion *)
-  mutable tl_fetch_done_us : int64;
-  mutable tl_objects : int;
-  mutable tl_bytes : int;
-}
-
-(* [until - since] as a total duration: [None] whenever the earlier or the
-   later milestone was never reached.  The sentinel encoding stays private
-   to this module; everything downstream (report JSON, benches) consumes
-   options. *)
-let span ~since ~until =
-  if Int64.compare since 0L >= 0 && Int64.compare until since >= 0 then
-    Some (Int64.to_int (Int64.sub until since))
-  else None
-
-let timeline_window_us tl = span ~since:tl.tl_start_us ~until:tl.tl_fetch_done_us
-
-let timeline_handoff_us tl =
-  if tl.tl_migrated then span ~since:tl.tl_start_us ~until:tl.tl_promote_done_us
-  else span ~since:tl.tl_start_us ~until:tl.tl_reboot_done_us
-
-(* Shadow-sync state of one warm standby (the [standby] field of its node). *)
-type standby_sync = {
-  mutable ss_synced_seq : int;  (* -1 before the first completed shadow sync *)
-  mutable ss_synced_at_us : int64;
-  mutable ss_root : Digest.t;  (* abstract-state root at [ss_synced_seq] *)
-  mutable ss_client_rows : (int * int64 * string) list;
-  mutable ss_promotions : int;
-}
-
-type replica_node = {
-  rid : int;
-  shard : int;  (* the agreement instance this cell serves; 0 when unsharded *)
-  replica : Replica.t;
-  mutable repo : Objrepo.t;
-  mutable wrapper : Service.wrapper;
-      (* [repo]/[wrapper] are mutable because promotion swaps them between
-         the slot node and the standby node: the standby machine's warm
-         state takes over the slot identity, the demoted machine keeps the
-         suspect state under the standby identity.  All service upcalls read
-         them through the node record, so the swap takes effect atomically
-         for certificate handling, execution and fetch serving alike. *)
-  standby : standby_sync option;  (* [Some] iff this node is a warm standby *)
-  mutable fetcher : State_transfer.t option;
-  mutable st_retries : int;
-  mutable st_progress : int;
-  mutable st_stalled : int;
-  mutable recovering : bool;
-  recovery_stats : recovery_stats;
-  mutable timeline : recovery_timeline option;
-      (* the episode currently waiting for its reboot/fetch milestones *)
-}
-
-(* An active Byzantine-primary attack window: while [atk_until] is in the
-   future, pre-prepares sent by [atk_node] are muted with probability
-   [atk_mute_p] and the surviving ones delayed by [atk_delay_us]. *)
-type pp_attack = {
-  atk_node : int;
-  atk_shard : int option;  (* [None] attacks the node's pre-prepares in every shard *)
-  atk_mute_p : float;
-  atk_delay_us : int;
-  atk_until : int64;
-}
-
-(* --- cross-shard commit state ---------------------------------------------- *)
-
-(* One participant shard of a cross-shard operation, as seen by one node.
-   [xp_arrived] is the deterministic lock-acquisition event: the shard's
-   agreement instance reached the lock request at its committed execution
-   head and parked.  [xp_obliged] pairs the liveness obligation registered
-   with {!Replica.add_external_pending} so it is cleared exactly once. *)
-type xpart = {
-  xp_shard : int;
-  mutable xp_obliged : bool;
-  mutable xp_arrived : bool;
-}
-
-(* Per-node record of one cross-shard operation, keyed by the client
-   request's globally unique [(client, timestamp)] identity.  Entries are
-   never removed: a missing entry is indistinguishable from a completed one,
-   and late duplicate locks (view-change re-proposals) must keep resolving
-   to "done" rather than re-opening the protocol. *)
-type xop = {
-  x_client : int;
-  x_ts : int64;
-  x_coord : int;  (* coordinator shard: the smallest in the footprint *)
-  x_parts : xpart list;  (* ascending shard order *)
-  mutable x_lock_ts : int64;  (* agreed lock timestamp; [-1L] until derived *)
-  mutable x_done : bool;  (* the joint operation executed on this node *)
-}
-
-(* Cross-shard bookkeeping of one physical node (shared by its per-shard
-   replica cells).  [xn_lock_mark] derives duplicate-free lock timestamps
-   when one committed batch carries several cross-shard operations: queries
-   at head sequence [seq] hand out [seq * (batch_max + 1) + k] with [k]
-   counting up in batch order, which is agreed — so every node derives the
-   same timestamps without communicating. *)
-type xnode = {
-  xn_rid : int;
-  xn_ops : (string, xop) Hashtbl.t;  (* key "client:timestamp" *)
-  xn_lock_mark : (int * int) array;  (* per coordinator shard: (head seq, next k) *)
-  mutable xn_kick_armed : bool;
-}
-
+(* One state value per concern: [cx] is what every module shares, the rest
+   are the modules' own. *)
 type t = {
-  engine : msg Engine.t;
-  config : Types.config;
-  chains : Auth.keychain array;
-  replicas : replica_node array;
-  cells : replica_node array array;
-      (* [cells.(shard).(rid)]: every node hosts one replica cell per shard
-         of the object space; [cells.(0) == replicas].  Unsharded systems
-         have exactly one row. *)
-  xnodes : xnode array;  (* per-node cross-shard commit state, indexed by rid *)
-  standbys : replica_node array;  (* warm pool, node ids n .. n+s-1 *)
+  cx : Cell.ctx;
+  cells : Cell.t array array;
+      (* [cells.(shard).(rid)]: every active node hosts one replica cell per
+         shard of the object space; unsharded systems have exactly one row *)
+  standbys : Cell.t array;  (* warm pool, node ids n .. n+s-1 *)
   clients : Client.t array;
-  orchestrator : int;  (** pseudo-node owning recovery watchdog timers *)
-  mutable recovery_period_us : int;
-  mutable reboot_us : int;
-  mutable promote_us : int;  (* simulated role-switch handshake time *)
-  mutable migrate : bool;  (* watchdog recovers by promotion, not reboot *)
-  mutable recovery_on : bool;
-  mutable pending_promotions : (int * int) list;  (* (slot, standby) handshakes *)
-  mutable roll_cursor : int;  (* next slot a faultplan [promote] fills *)
-  metrics : Base_obs.Metrics.t;
   profile : Base_obs.Profile.t;
-  trace : Base_obs.Trace.t;
-  (* System-wide state-transfer totals, accumulated as per-fetch deltas so
-     they survive the fetchers (which are discarded on completion). *)
-  st_totals : State_transfer.stats;
-  mutable timelines : recovery_timeline list;  (* newest first *)
-  mutable plan : Faultplan.event array;  (* scheduled chaos, indexed by timer payload *)
-  mutable pp_attack : pp_attack option;
+  xshard : Xshard.t;
+  recovery : Recovery.t;
+  chaos : Chaos.t;
 }
 
 let msg_size = function
@@ -197,1041 +50,114 @@ let msg_kind = function
   | St { body; _ } -> State_transfer.kind_label body
   | Raw _ -> "RAW"
 
-let engine t = t.engine
+let engine t = t.cx.engine
 
-let config t = t.config
+let config t = t.cx.config
 
-let replica t i = t.replicas.(i)
+let replica t i = t.cells.(0).(i)
 
-let replicas t = t.replicas
+let replicas t = t.cells.(0)
+
+let n_shards t = Array.length t.cells
+
+let shard_replica t ~shard rid = t.cells.(shard).(rid)
 
 let standbys t = t.standbys
 
-let standby t i = t.standbys.(i - t.config.Types.n)
+let standby t i = t.standbys.(i - t.cx.config.Types.n)
 
 let client t i = t.clients.(i)
 
-let now t = Engine.now t.engine
+let now t = Engine.now t.cx.engine
 
-let metrics t = t.metrics
+let metrics t = t.cx.metrics
 
 let profile t = t.profile
 
-let trace t = t.trace
+let trace t = t.cx.trace
 
-let st_totals t = t.st_totals
+let st_totals t = t.cx.st_totals
 
-let recovery_timelines t = List.rev t.timelines
+let recovery_timelines t = Recovery.timelines t.recovery
 
-let trace_event t name attrs = Base_obs.Trace.event t.trace ~ts:(now t) ~name attrs
+(* The cell of node [rid] serving [shard]; a standby hosts only shard 0. *)
+let cell t ~shard rid =
+  if rid < t.cx.config.Types.n then t.cells.(shard).(rid)
+  else t.standbys.(rid - t.cx.config.Types.n)
 
-(* --- state-transfer plumbing --------------------------------------------- *)
+(* Per-shard timer namespace: every cell arms "vc"/"status" through its own
+   net, the engine carries one flat tag space per physical node, so shard
+   k > 0 suffixes them ".s<k>".  Shard 0 keeps the bare tags — the exact
+   unsharded wiring. *)
+let shard_tag ~shard tag = if shard = 0 then tag else Printf.sprintf "%s.s%d" tag shard
 
-let st_send t ~src ~dst ~shard body =
-  Engine.send t.engine ~src ~dst (St { from = src; shard; body })
+(* Inverse of [shard_tag], allocation-free for shard 0. *)
+let tag_shard tag =
+  match String.rindex tag '.' with
+  | exception Not_found -> 0
+  | i when i + 2 < String.length tag && tag.[i + 1] = 's' ->
+    Option.value ~default:0 (int_of_string_opt (String.sub tag (i + 2) (String.length tag - i - 2)))
+  | _ -> 0
 
-(* Retry/stall-poll cadence for an active fetch.  Under load the group
-   certifies a fresh checkpoint every few tens of milliseconds, so a fetch
-   that loses the race with garbage collection must notice and re-target on
-   that timescale: a coarse retry period quantizes every unlucky fetch —
-   and hence the recovery window — up to multiples of itself. *)
-let st_retry_period_us = 50_000
+let in_row row shard = shard >= 0 && shard < Array.length row
 
-(* Verification failures tolerated on one fetch before we conclude the
-   target itself is bad (stale or fabricated) and re-certify.  Rejections
-   only accumulate for still-pending pieces, so a healthy fetch — where a
-   correct reply races every faulty one — stays well below this. *)
-let st_reject_threshold = 12
+(* The one per-node event dispatcher.  [row] holds the node's cells by
+   shard — one per shard for an active node, a single cell for a standby —
+   and routes protocol envelopes by their shard tag, state transfer by the
+   St/Raw shard field, and timers by payload ("st_retry") or tag suffix
+   ("vc.s1").  The node-level timers are the cross-shard kick and, on a
+   standby, the shadow-sync tick. *)
+let dispatch t rid row ev =
+  match ev with
+  | Engine.Deliver { msg = Bft env; _ } ->
+    (* A shard tag out of range is dropped, like any undecodable message. *)
+    if in_row row env.Message.shard then Replica.receive row.(env.Message.shard).replica env
+  | Engine.Deliver { msg = St { from; shard; body }; _ } ->
+    if in_row row shard then Cell.handle_st t.cx row.(shard) ~from body
+  | Engine.Deliver { msg = Raw { from; shard; macs; bytes }; _ } ->
+    (* Corrupted-in-flight bytes: feed the wire-decode path, which counts
+       and drops them (bft.reject.decode / bft.reject.mac). *)
+    if in_row row shard then
+      Replica.receive_wire ~shard row.(shard).replica ~sender:from ~macs bytes
+  | Engine.Timer { tag = "st_retry"; payload } ->
+    if in_row row payload then Cell.retry_tick t.cx row.(payload)
+  | Engine.Timer { tag = "xkick"; _ } -> Xshard.kick t.xshard rid
+  | Engine.Timer { tag = "shadow_sync"; _ } -> Recovery.shadow_tick t.recovery row.(0)
+  | Engine.Timer { tag; payload } ->
+    let shard = tag_shard tag in
+    if in_row row shard then
+      Replica.on_timer row.(shard).replica
+        ~tag:(if shard = 0 then tag else String.sub tag 0 (String.rindex tag '.'))
+        ~payload
 
-(* Finish the recovery episode attached to [node], if one is waiting for
-   its fetch milestone. *)
-let close_timeline t node =
-  match node.timeline with
-  | Some tl ->
-    tl.tl_fetch_done_us <- Engine.now t.engine;
-    tl.tl_objects <- node.recovery_stats.last_objects_fetched;
-    tl.tl_bytes <- node.recovery_stats.last_bytes_fetched;
-    node.timeline <- None;
-    (* The episode's window of vulnerability, as a derived duration; raw
-       timestamps never leave this module. *)
-    (match timeline_window_us tl with
-    | Some w ->
-      Base_obs.Metrics.observe
-        (Base_obs.Metrics.histogram t.metrics "base.recovery.window_us")
-        (float_of_int w)
-    | None -> ());
-    trace_event t "recovery.fetch_done"
-      [
-        ("bytes", string_of_int tl.tl_bytes);
-        ("objects", string_of_int tl.tl_objects);
-        ("rid", string_of_int node.rid);
-      ]
-  | None -> ()
-
-(* Abandon the current fetch and restart against the freshest certified
-   checkpoint — the escape hatch for a garbage-collected target, a target
-   digest we can no longer verify anything against, or an inverse
-   abstraction that failed to reproduce the certified state.  A standby has
-   no protocol status to repair and no urgency: dropping the fetcher is
-   enough, the next shadow-sync tick re-targets on its own. *)
-let retarget_fetch t node ~reason =
-  node.fetcher <- None;
-  trace_event t "st.retarget" [ ("reason", reason); ("rid", string_of_int node.rid) ];
-  match node.standby with
-  | Some _ -> ()
-  | None ->
-    Replica.abort_fetch node.replica;
-    Replica.initiate_fetch node.replica
-
-(* Common fetcher construction for both the recovery path and the standby
-   shadow sync; only the completion continuation differs.  Sources are
-   always the active replicas (standbys are never authoritative). *)
-let launch_fetch t node ~target_seq ~target_digest ~on_complete =
-  let params =
-    {
-      State_transfer.default_params with
-      State_transfer.window = t.config.Types.st_window;
-      chunk_bytes = t.config.Types.st_chunk_bytes;
-    }
-  in
-  let sources = List.filter (fun r -> r <> node.rid) (Types.replica_ids t.config) in
-  let fetcher =
-    State_transfer.start ~params
-      ~trace:(fun line ->
-        trace_event t "st.debug" [ ("line", line); ("rid", string_of_int node.rid) ])
-      ~repo:node.repo ~sources ~target_seq ~target_digest
-      ~send:(fun ~dst body -> st_send t ~src:node.rid ~dst ~shard:node.shard body)
-      ~on_complete ()
-  in
-  if State_transfer.finished fetcher then ()
-  else begin
-    node.fetcher <- Some fetcher;
-    node.st_retries <- 0;
-    node.st_progress <- 0;
-    node.st_stalled <- 0;
-    (* The timer payload names the shard, so the per-node dispatcher can
-       route the retry tick to the right cell's fetcher. *)
-    ignore
-      (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us st_retry_period_us)
-         ~tag:"st_retry" ~payload:node.shard)
-  end
-
-(* Forward declaration hack: replica creation needs an app record whose
-   closures refer to the node being created. *)
-let start_fetch t node ~seq ~digest =
-  launch_fetch t node ~target_seq:seq ~target_digest:digest
-    ~on_complete:(fun ~seq ~app_root ~client_rows ->
-      node.fetcher <- None;
-      (* Register the transferred checkpoint so this replica can serve it,
-         then resume the protocol. *)
-      let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
-      if not (Digest.equal root app_root) then begin
-        (* The inverse abstraction produced a state whose digest does not
-           match the certified checkpoint: the local implementation is
-           faulty in a way reinstalation did not mask.  Degrade gracefully —
-           count it and re-run the transfer — instead of crashing the
-           replica (a crash here would turn one faulty node into a
-           liveness hit for the group). *)
-        Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "st.inverse_divergence");
-        retarget_fetch t node ~reason:"inverse-divergence"
-      end
-      else begin
-        close_timeline t node;
-        Replica.fetch_complete node.replica ~seq ~app_digest:app_root ~client_rows
-      end)
-
-(* --- standby shadow sync ---------------------------------------------------- *)
-
-(* Pool warmth is bounded by this cadence: a promoted standby's catch-up
-   fetch covers at most one period's worth of writes (plus the sync in
-   flight), so the period must sit well below the recovery period for the
-   window of vulnerability to stay handshake-dominated. *)
-let shadow_sync_period_us = 50_000
-
-(* Chase the stable checkpoint watermark: fetch the freshest certified
-   checkpoint into the standby's repo through the normal self-verifying
-   pipeline, then register it so (a) the next sync is an incremental diff
-   against it and (b) a promoted standby can serve it to other fetchers. *)
-let start_shadow_sync t node ~seq ~digest =
-  node.recovery_stats.last_objects_fetched <- 0;
-  node.recovery_stats.last_bytes_fetched <- 0;
-  launch_fetch t node ~target_seq:seq ~target_digest:digest
-    ~on_complete:(fun ~seq ~app_root ~client_rows ->
-      node.fetcher <- None;
-      let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
-      if not (Digest.equal root app_root) then
-        (* The standby's own implementation diverged under inverse
-           abstraction; count it and let the next tick re-sync. *)
-        Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "st.inverse_divergence")
-      else begin
-        Objrepo.discard_below node.repo seq;
-        let client_digest = State_transfer.combined_digest ~app_root ~client_rows in
-        Replica.standby_note_synced node.replica ~seq ~digest:client_digest;
-        (match node.standby with
-        | Some ss ->
-          ss.ss_synced_seq <- seq;
-          ss.ss_synced_at_us <- Engine.now t.engine;
-          ss.ss_root <- app_root;
-          ss.ss_client_rows <- client_rows
-        | None -> ());
-        Base_obs.Metrics.incr ~by:node.recovery_stats.last_bytes_fetched
-          (Base_obs.Metrics.counter t.metrics "base.standby.shadow_bytes");
-        trace_event t "standby.synced"
-          [
-            ("bytes", string_of_int node.recovery_stats.last_bytes_fetched);
-            ("rid", string_of_int node.rid);
-            ("seq", string_of_int seq);
-          ]
-      end)
-
-let arm_shadow_timer t node =
-  ignore
-    (Engine.set_timer t.engine ~node:node.rid
-       ~after:(Sim_time.of_us shadow_sync_period_us) ~tag:"shadow_sync" ~payload:0)
-
-let shadow_tick t node =
-  (match node.fetcher with
-  | Some _ -> ()  (* a sync is in flight; the st_retry chain drives it *)
-  | None -> (
-    match (Replica.fetch_target node.replica, node.standby) with
-    | Some (seq, digest), Some ss when seq > ss.ss_synced_seq ->
-      start_shadow_sync t node ~seq ~digest
-    | (Some _ | None), _ -> ()));
-  arm_shadow_timer t node
-
-let handle_st t node ~from body =
-  match body with
-  | State_transfer.Fetch_head _ | State_transfer.Fetch_meta _ | State_transfer.Fetch_obj _ -> (
-    match State_transfer.serve node.repo body with
-    | Some reply -> st_send t ~src:node.rid ~dst:from ~shard:node.shard reply
-    | None -> ())
-  | State_transfer.Head_reply _ | State_transfer.Meta_reply _ | State_transfer.Obj_reply _ -> (
-    match node.fetcher with
-    | Some fetcher ->
-      let st = State_transfer.stats fetcher in
-      let bytes_before = st.State_transfer.bytes_fetched in
-      let objs_before = st.State_transfer.objects_fetched in
-      let meta_before = st.State_transfer.meta_fetched in
-      let chunks_before = st.State_transfer.chunks_fetched in
-      let cache_before = st.State_transfer.cache_hits in
-      let quar_before = st.State_transfer.quarantines in
-      let heads_rej_before = st.State_transfer.heads_rejected in
-      let meta_rej_before = st.State_transfer.meta_rejected in
-      let objs_rej_before = st.State_transfer.objects_rejected in
-      let source_entry =
-        Array.fold_left
-          (fun acc s -> if s.State_transfer.src_id = from then Some s else acc)
-          None
-          (State_transfer.scoreboard fetcher)
-      in
-      let src_bytes_before =
-        match source_entry with Some s -> s.State_transfer.bytes | None -> 0
-      in
-      State_transfer.handle_reply fetcher ~from body;
-      let bytes_delta = st.State_transfer.bytes_fetched - bytes_before in
-      let objs_delta = st.State_transfer.objects_fetched - objs_before in
-      node.recovery_stats.total_bytes_fetched <-
-        node.recovery_stats.total_bytes_fetched + bytes_delta;
-      node.recovery_stats.last_bytes_fetched <-
-        node.recovery_stats.last_bytes_fetched + bytes_delta;
-      node.recovery_stats.total_objects_fetched <-
-        node.recovery_stats.total_objects_fetched + objs_delta;
-      node.recovery_stats.last_objects_fetched <-
-        node.recovery_stats.last_objects_fetched + objs_delta;
-      let tot = t.st_totals in
-      tot.State_transfer.bytes_fetched <- tot.State_transfer.bytes_fetched + bytes_delta;
-      tot.State_transfer.objects_fetched <- tot.State_transfer.objects_fetched + objs_delta;
-      tot.State_transfer.meta_fetched <-
-        tot.State_transfer.meta_fetched + (st.State_transfer.meta_fetched - meta_before);
-      tot.State_transfer.chunks_fetched <-
-        tot.State_transfer.chunks_fetched + (st.State_transfer.chunks_fetched - chunks_before);
-      tot.State_transfer.cache_hits <-
-        tot.State_transfer.cache_hits + (st.State_transfer.cache_hits - cache_before);
-      tot.State_transfer.quarantines <-
-        tot.State_transfer.quarantines + (st.State_transfer.quarantines - quar_before);
-      tot.State_transfer.heads_rejected <-
-        tot.State_transfer.heads_rejected + (st.State_transfer.heads_rejected - heads_rej_before);
-      tot.State_transfer.meta_rejected <-
-        tot.State_transfer.meta_rejected + (st.State_transfer.meta_rejected - meta_rej_before);
-      tot.State_transfer.objects_rejected <-
-        tot.State_transfer.objects_rejected
-        + (st.State_transfer.objects_rejected - objs_rej_before);
-      Base_obs.Metrics.set_max
-        (Base_obs.Metrics.gauge t.metrics "base.st.inflight")
-        (float_of_int (State_transfer.inflight fetcher));
-      let cache_delta = st.State_transfer.cache_hits - cache_before in
-      if cache_delta > 0 then
-        Base_obs.Metrics.incr ~by:cache_delta
-          (Base_obs.Metrics.counter t.metrics "base.st.cache_hits");
-      let quar_delta = st.State_transfer.quarantines - quar_before in
-      if quar_delta > 0 then
-        Base_obs.Metrics.incr ~by:quar_delta
-          (Base_obs.Metrics.counter t.metrics "base.st.source_quarantined");
-      (match source_entry with
-      | Some s when s.State_transfer.bytes > src_bytes_before ->
-        Base_obs.Metrics.incr
-          ~by:(s.State_transfer.bytes - src_bytes_before)
-          (Base_obs.Metrics.counter t.metrics
-             (Printf.sprintf "base.st.source_bytes.%d" from))
-      | Some _ | None -> ());
-      if State_transfer.rejected st > heads_rej_before + meta_rej_before + objs_rej_before
-      then begin
-        trace_event t "st.reject"
-          [ ("from", string_of_int from); ("rid", string_of_int node.rid) ];
-        if State_transfer.rejected st >= st_reject_threshold then
-          retarget_fetch t node ~reason:"rejections"
-      end
-    | None -> ())
-
-(* Factored out of the per-node event dispatcher so replica cells and
-   standbys share it: one retry/stall-detection round of the cell's active
-   fetch. *)
-let st_retry_tick t node =
-  match node.fetcher with
-  | Some fetcher when not (State_transfer.finished fetcher) ->
-    node.st_retries <- node.st_retries + 1;
-    (* Progress detection: a fetch whose counters have not moved for several
-       consecutive rounds is talking to replicas that no longer hold the
-       target (garbage-collected under load) — re-target quickly rather than
-       sitting out the full retry budget against a dead checkpoint. *)
-    let st0 = State_transfer.stats fetcher in
-    let progress =
-      st0.State_transfer.meta_fetched + st0.State_transfer.objects_fetched
-      + st0.State_transfer.chunks_fetched + st0.State_transfer.cache_hits
-      + st0.State_transfer.bytes_fetched
-    in
-    if progress = node.st_progress then node.st_stalled <- node.st_stalled + 1
+(* In-flight corruption model: flip one byte of the encoded protocol body
+   and deliver it as raw wire bytes, so it exercises the replica's
+   decode-and-MAC rejection path exactly like a Byzantine network would.
+   State-transfer messages (simulator values, no wire codec) are mangled
+   beyond recognition instead: the corruptor declines and the engine drops
+   them. *)
+let corrupt rng = function
+  | Bft env ->
+    let body = env.Message.wire in
+    let len = String.length body in
+    if len = 0 then None
     else begin
-      node.st_progress <- progress;
-      node.st_stalled <- 0
-    end;
-    if node.st_retries > 8 then
-      (* The target checkpoint was probably garbage-collected by the group
-         while we fetched; restart against the freshest certified one. *)
-      retarget_fetch t node ~reason:"timeout"
-    else if node.st_stalled >= 3 then retarget_fetch t node ~reason:"stalled"
-    else begin
-      let st = State_transfer.stats fetcher in
-      let quar_before = st.State_transfer.quarantines in
-      State_transfer.retry fetcher;
-      t.st_totals.State_transfer.retries <- t.st_totals.State_transfer.retries + 1;
-      let quar_delta = st.State_transfer.quarantines - quar_before in
-      if quar_delta > 0 then begin
-        t.st_totals.State_transfer.quarantines <-
-          t.st_totals.State_transfer.quarantines + quar_delta;
-        Base_obs.Metrics.incr ~by:quar_delta
-          (Base_obs.Metrics.counter t.metrics "base.st.source_quarantined")
-      end;
-      trace_event t "st.retry"
-        [ ("attempt", string_of_int node.st_retries); ("rid", string_of_int node.rid) ];
-      ignore
-        (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us st_retry_period_us)
-           ~tag:"st_retry" ~payload:node.shard)
-    end
-  | Some _ | None -> ()
-
-(* --- cross-shard two-phase commit ------------------------------------------ *)
-
-(* See doc/sharding.md.  Each shard is an independent agreement instance
-   over a slice of the abstract object array; an operation whose declared
-   footprint spans several shards is ordered by the lowest one (the
-   coordinator) and blocked on lock requests the runtime injects into every
-   other involved shard (the participants).  All events below are derived
-   from committed sequence numbers, so every correct node drives the
-   protocol through exactly the same states without extra communication. *)
-
-(* An operation's [modify] touched an object outside the shards it is
-   entitled to.  Raised before any mutation of the foreign object (wrappers
-   call [modify] first), so aborting here is deterministic and leaves every
-   shard's state consistent. *)
-exception Xshard_footprint
-
-(* The deterministic reply of an aborted out-of-footprint execution: every
-   correct replica of the shard returns it, so agreement is unaffected; the
-   client sees it as a service-level error. *)
-let xabort_result = "#xshard-abort"
-
-let xkey ~client ~ts = Printf.sprintf "%d:%Ld" client ts
-
-(* Find-or-create: the first side to observe the operation on this node —
-   coordinator gate or participant lock — materialises the record. *)
-let xget xn ~client ~ts ~coord ~parts =
-  let key = xkey ~client ~ts in
-  match Hashtbl.find_opt xn.xn_ops key with
-  | Some x -> x
-  | None ->
-    let x =
-      {
-        x_client = client;
-        x_ts = ts;
-        x_coord = coord;
-        x_parts =
-          List.map (fun s -> { xp_shard = s; xp_obliged = false; xp_arrived = false }) parts;
-        x_lock_ts = -1L;
-        x_done = false;
-      }
-    in
-    Hashtbl.add xn.xn_ops key x;
-    x
-
-(* Lock requests ride the ordinary MACed request/pre-prepare path under a
-   virtual client id ([Types.internal_client ~shard:coordinator_shard]); the
-   operation string names the cross-shard operation they guard. *)
-let lock_operation x =
-  Printf.sprintf "xlock:%d:%d:%Ld:%s" x.x_coord x.x_client x.x_ts
-    (String.concat "," (List.map (fun p -> string_of_int p.xp_shard) x.x_parts))
-
-let parse_lock operation =
-  match String.split_on_char ':' operation with
-  | [ "xlock"; coord; client; ts; parts ] -> (
-    match
-      ( int_of_string_opt coord,
-        int_of_string_opt client,
-        Int64.of_string_opt ts,
-        List.filter_map int_of_string_opt (String.split_on_char ',' parts) )
-    with
-    | Some coord, Some client, Some ts, (_ :: _ as parts) -> Some (coord, client, ts, parts)
-    | _, _, _, _ -> None)
-  | _ -> None
-
-let assign_lock_ts t xn ~coord ~seq =
-  let mark_seq, k = xn.xn_lock_mark.(coord) in
-  let k = if mark_seq = seq then k else 0 in
-  xn.xn_lock_mark.(coord) <- (seq, k + 1);
-  Int64.of_int ((seq * (t.config.Types.batch_max + 1)) + k)
-
-(* Re-submission heartbeat: a participant primary that crashed (or lied)
-   before ordering a lock would otherwise stall the coordinator forever.
-   The cadence matches the view-change timeout, so by the time the kick
-   fires a wedged participant shard has rotated its primary.  Iteration is
-   in sorted key order — never in hash order — to keep runs deterministic. *)
-let arm_xkick t xn =
-  if not xn.xn_kick_armed then begin
-    xn.xn_kick_armed <- true;
-    ignore
-      (Engine.set_timer t.engine ~node:xn.xn_rid
-         ~after:(Sim_time.of_us t.config.Types.viewchange_timeout_us) ~tag:"xkick" ~payload:0)
-  end
-
-let submit_lock t xn (x : xop) (p : xpart) =
-  let cell = t.cells.(p.xp_shard).(xn.xn_rid) in
-  Replica.submit_internal cell.replica
-    {
-      Message.client = Types.internal_client ~shard:x.x_coord;
-      timestamp = x.x_lock_ts;
-      operation = lock_operation x;
-      read_only = false;
-    }
-
-let xshard_kick t xn =
-  xn.xn_kick_armed <- false;
-  let keys =
-    Hashtbl.fold (fun k _ acc -> k :: acc) xn.xn_ops [] |> List.sort String.compare
-  in
-  let live = ref false in
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt xn.xn_ops key with
-      | Some x when (not x.x_done) && Int64.compare x.x_lock_ts 0L >= 0 ->
-        live := true;
-        List.iter (fun p -> if not p.xp_arrived then submit_lock t xn x p) x.x_parts
-      | Some _ | None -> ())
-    keys;
-  if !live then arm_xkick t xn
-
-(* The declared footprint of [operation], as the ascending list of shards it
-   touches.  Pure protocol decode — every node's wrapper answers alike. *)
-let footprint_shards t (w : Service.wrapper) ~operation =
-  match w.Service.oids_of_op ~operation with
-  | [] -> []
-  | oids ->
-    List.sort_uniq Int.compare (List.map (fun oid -> Types.shard_of_oid t.config oid) oids)
-
-(* The execution gate of shard [shard]'s cell on node [xn.xn_rid] (the
-   {!Replica.app.ready} hook; only installed when the space is sharded).
-
-   Participant side (internal virtual clients): the first query on a lock
-   request is the lock acquisition — the shard is parked at its committed
-   head, so the acquisition point is the same sequence number on every
-   replica.  The lock holds (gate closed) until the coordinator cell
-   executes the joint operation.
-
-   Coordinator side: a multi-shard client operation waits until every
-   participant cell on this node has parked at its lock. *)
-let xready t xn ~shard ~client ~timestamp ~operation =
-  if Types.is_internal_client client then begin
-    match parse_lock operation with
-    | None -> true  (* malformed internal request: execute as a no-op *)
-    | Some (coord, xclient, xts, parts) ->
-      let x = xget xn ~client:xclient ~ts:xts ~coord ~parts in
-      if Int64.compare x.x_lock_ts 0L < 0 then x.x_lock_ts <- timestamp;
-      if x.x_done then true
-      else begin
-        (match List.find_opt (fun p -> p.xp_shard = shard) x.x_parts with
-        | Some p when not p.xp_arrived ->
-          p.xp_arrived <- true;
-          if p.xp_obliged then begin
-            p.xp_obliged <- false;
-            Replica.clear_external_pending t.cells.(shard).(xn.xn_rid).replica
-          end;
-          (* The coordinator cell may be parked waiting for this arrival. *)
-          if List.for_all (fun q -> q.xp_arrived) x.x_parts then
-            Replica.resume_execution t.cells.(x.x_coord).(xn.xn_rid).replica
-        | Some _ | None -> ());
-        x.x_done
-      end
-  end
-  else begin
-    let node = t.cells.(shard).(xn.xn_rid) in
-    match footprint_shards t node.wrapper ~operation with
-    | [] | [ _ ] -> true
-    | coord :: parts when coord = shard ->
-      let x = xget xn ~client ~ts:timestamp ~coord ~parts in
-      if x.x_done then true
-      else begin
-        if Int64.compare x.x_lock_ts 0L < 0 then begin
-          (* First query: the committed head sequence is agreed, so the
-             derived lock timestamp is identical on every node. *)
-          let seq = Replica.last_executed node.replica + 1 in
-          x.x_lock_ts <- assign_lock_ts t xn ~coord ~seq
-        end;
-        let waiting = List.filter (fun p -> not p.xp_arrived) x.x_parts in
-        List.iter
-          (fun p ->
-            if not p.xp_obliged then begin
-              p.xp_obliged <- true;
-              (* Keep the participant shard's view-change timer armed while
-                 the lock is outstanding: a mute participant primary must
-                 not be able to park the coordinator forever. *)
-              Replica.add_external_pending t.cells.(p.xp_shard).(xn.xn_rid).replica
-            end;
-            submit_lock t xn x p)
-          waiting;
-        (match waiting with
-        | [] -> true
-        | _ :: _ ->
-          arm_xkick t xn;
-          false)
-      end
-    | _ :: _ -> true  (* misrouted: execute; foreign modifies abort deterministically *)
-  end
-
-(* Route one [modify] upcall to the owning shard's repo (index-shifted into
-   its slice).  [allowed] is the shard set the current execution holds: its
-   own shard, plus — for a joint operation on the coordinator — every
-   participant currently parked at its lock. *)
-let xmodify t xn ~allowed i =
-  let owner = Types.shard_of_oid t.config i in
-  if not (List.exists (fun s -> s = owner) allowed) then raise Xshard_footprint;
-  let cell = t.cells.(owner).(xn.xn_rid) in
-  let lo, _ = Types.shard_range t.config ~n_objects:cell.wrapper.Service.n_objects owner in
-  Objrepo.modify cell.repo (i - lo)
-
-(* The {!Replica.app.execute} hook of a sharded cell.  Lock requests reach
-   execution only once released, and mutate nothing.  A joint operation
-   executes on the coordinator cell while every participant is parked, with
-   [modify] routed per-object to the owning shard's repo — the mutation
-   lands between two fixed points of each participant's execution sequence,
-   so per-shard checkpoint digests stay identical across nodes — and then
-   releases the participants. *)
-let xexecute t xn ~shard ~client ~timestamp ~operation ~nondet ~read_only =
-  if Types.is_internal_client client then ""
-  else begin
-    let node = t.cells.(shard).(xn.xn_rid) in
-    let shards = footprint_shards t node.wrapper ~operation in
-    let joint =
-      match shards with
-      | coord :: _ :: _ when coord = shard && not read_only -> true
-      | _ :: _ | [] -> false
-    in
-    let allowed = if joint then shards else [ shard ] in
-    let result =
-      try
-        node.wrapper.Service.execute ~client ~operation ~nondet ~read_only
-          ~modify:(fun i -> xmodify t xn ~allowed i)
-      with Xshard_footprint -> xabort_result
-    in
-    (if joint then
-       match shards with
-       | coord :: parts ->
-         let x = xget xn ~client ~ts:timestamp ~coord ~parts in
-         if not x.x_done then begin
-           x.x_done <- true;
-           (* Release: each participant's gate now answers true; kick their
-              execution loops so the parked batches drain. *)
-           List.iter
-             (fun p -> Replica.resume_execution t.cells.(p.xp_shard).(xn.xn_rid).replica)
-             x.x_parts
-         end
-       | [] -> ());
-    result
-  end
-
-(* Index-shifted restriction of a node's wrapper to one shard's slice of
-   the abstract object array: the per-shard {!Objrepo} digests, checkpoints
-   and serves exactly the objects its agreement instance is responsible
-   for, while the concrete service state stays node-wide. *)
-let shard_view config ~shard (w : Service.wrapper) =
-  if Types.n_shards config <= 1 then w
-  else begin
-    let lo, hi = Types.shard_range config ~n_objects:w.Service.n_objects shard in
-    {
-      w with
-      Service.n_objects = hi - lo;
-      get_obj = (fun i -> w.Service.get_obj (lo + i));
-      put_objs = (fun objs -> w.Service.put_objs (List.map (fun (i, v) -> (lo + i, v)) objs));
-    }
-  end
-
-(* --- recovery -------------------------------------------------------------- *)
-
-let begin_reintegration t node =
-  (* The machine is back up: fresh session keys (stolen ones are now
-     useless), restart the implementation from its persistent state, and
-     recompute the abstraction function over the whole concrete state — the
-     depth-first traversal of Section 3.4. *)
-  Auth.refresh_keys t.chains node.rid;
-  node.wrapper.Service.restart ();
-  Objrepo.rebuild_all_digests node.repo;
-  node.recovery_stats.last_objects_fetched <- 0;
-  node.recovery_stats.last_bytes_fetched <- 0;
-  Replica.on_reboot node.replica;
-  (* Compare with the rest of the group and fetch only what differs.  If no
-     suitable certified checkpoint is known (quiet system, or the group is
-     behind us), the local state is deemed up to date until the next
-     checkpoint exposes any divergence. *)
-  (match Replica.fetch_target node.replica with
-  | Some (seq, digest) -> Replica.force_fetch node.replica ~seq ~digest
-  | None -> close_timeline t node);
-  node.recovering <- false
-
-let recover_now ?reboot_us t rid =
-  Base_util.Invariant.require
-    (Array.length t.cells = 1)
-    "Runtime.recover_now: proactive recovery requires an unsharded object space";
-  let reboot_us = Option.value reboot_us ~default:t.reboot_us in
-  let node = t.replicas.(rid) in
-  if not node.recovering then begin
-    node.recovering <- true;
-    node.recovery_stats.recoveries <- node.recovery_stats.recoveries + 1;
-    let tl =
-      {
-        tl_rid = rid;
-        tl_migrated = false;
-        tl_start_us = now t;
-        tl_reboot_done_us = -1L;
-        tl_promote_done_us = -1L;
-        tl_staleness_seqs = -1;
-        tl_staleness_us = -1L;
-        tl_fetch_done_us = -1L;
-        tl_objects = 0;
-        tl_bytes = 0;
-      }
-    in
-    node.timeline <- Some tl;
-    t.timelines <- tl :: t.timelines;
-    trace_event t "recovery.start" [ ("rid", string_of_int rid) ];
-    (* Abandon any in-flight fetch: its timers die with the reboot. *)
-    node.fetcher <- None;
-    Replica.abort_fetch node.replica;
-    (* Reboot: the node is unreachable while restarting. *)
-    Engine.set_node_up t.engine rid false;
-    ignore
-      (Engine.set_timer t.engine ~node:t.orchestrator ~after:(Sim_time.of_us reboot_us)
-         ~tag:"reboot_done" ~payload:rid)
-  end
-
-(* --- migration-based recovery ---------------------------------------------- *)
-
-(* Freshest promotable standby: it has completed at least one shadow sync,
-   the machine is up, and it is not already half-way through a promotion
-   handshake.  Ties go to the lowest id, keeping runs deterministic. *)
-let eligible_standby t =
-  Array.fold_left
-    (fun best sb ->
-      match sb.standby with
-      | Some ss
-        when ss.ss_synced_seq >= 0
-             && Engine.node_is_up t.engine sb.rid
-             && not (List.exists (fun (_, b) -> b = sb.rid) t.pending_promotions) -> (
-        match best with
-        | Some (_, best_seq) when best_seq >= ss.ss_synced_seq -> best
-        | Some _ | None -> Some (sb, ss.ss_synced_seq))
-      | Some _ | None -> best)
-    None t.standbys
-  |> Option.map fst
-
-(* Begin promoting standby [sb] into replica slot [slot]: take the slot
-   machine offline and start the role-switch handshake (key distribution,
-   address takeover), modelled as a [promote_us] delay on the orchestrator.
-   If the pair is not promotable right now, degrade to in-place recovery —
-   the watchdog's job is to recover the slot, one way or the other. *)
-let promote_specific ?promote_us t ~slot ~standby:sb =
-  let promote_us = Option.value promote_us ~default:t.promote_us in
-  let node = t.replicas.(slot) in
-  let promotable =
-    (not node.recovering)
-    && (match sb.standby with Some ss -> ss.ss_synced_seq >= 0 | None -> false)
-    && Engine.node_is_up t.engine sb.rid
-    && not (List.exists (fun (s, b) -> s = slot || b = sb.rid) t.pending_promotions)
-  in
-  if not promotable then recover_now t slot
-  else begin
-    node.recovering <- true;
-    node.recovery_stats.recoveries <- node.recovery_stats.recoveries + 1;
-    let tl =
-      {
-        tl_rid = slot;
-        tl_migrated = true;
-        tl_start_us = now t;
-        tl_reboot_done_us = -1L;
-        tl_promote_done_us = -1L;
-        tl_staleness_seqs = -1;
-        tl_staleness_us = -1L;
-        tl_fetch_done_us = -1L;
-        tl_objects = 0;
-        tl_bytes = 0;
-      }
-    in
-    node.timeline <- Some tl;
-    t.timelines <- tl :: t.timelines;
-    trace_event t "recovery.promote_start"
-      [ ("sb", string_of_int sb.rid); ("slot", string_of_int slot) ];
-    (* Abandon in-flight fetches on both sides: the slot machine goes down,
-       and the standby's shadow state must stay frozen at its last completed
-       sync for the duration of the handshake. *)
-    node.fetcher <- None;
-    Replica.abort_fetch node.replica;
-    sb.fetcher <- None;
-    Engine.set_node_up t.engine slot false;
-    t.pending_promotions <- (slot, sb.rid) :: t.pending_promotions;
-    ignore
-      (Engine.set_timer t.engine ~node:t.orchestrator ~after:(Sim_time.of_us promote_us)
-         ~tag:"promote_done" ~payload:slot)
-  end
-
-let promote_now ?promote_us t slot =
-  match eligible_standby t with
-  | Some sb -> promote_specific ?promote_us t ~slot ~standby:sb
-  | None -> recover_now t slot
-
-(* --- chaos: fault-plan execution and the Byzantine-primary adversary ------- *)
-
-let replica_behavior = function
-  | Faultplan.B_honest -> Replica.Honest
-  | Faultplan.B_mute -> Replica.Mute
-  | Faultplan.B_lie -> Replica.Lie_in_replies
-  | Faultplan.B_equivocate -> Replica.Equivocate
-
-let link_attr src dst =
-  let e v = if v = -1 then "*" else string_of_int v in
-  Printf.sprintf "%s->%s" (e src) (e dst)
-
-let exec_fault t (ev : Faultplan.event) =
-  let until for_us = Sim_time.add (Engine.now t.engine) (Sim_time.of_us for_us) in
-  match ev.Faultplan.action with
-  | Faultplan.Crash n ->
-    Engine.set_node_up t.engine n false;
-    trace_event t "fault.crash" [ ("rid", string_of_int n) ]
-  | Faultplan.Reboot n ->
-    Engine.set_node_up t.engine n true;
-    (* A rebooted replica lost its pending timers with the crash; re-arm —
-       every per-shard cell the node hosts, plus the cross-shard kick. *)
-    if n < t.config.Types.n then begin
-      Array.iter
-        (fun row ->
-          let node = row.(n) in
-          Replica.on_reboot node.replica;
-          (* The st_retry chain is a runtime-level timer, so it died with
-             the crash too.  A fetch that was in flight would otherwise sit
-             wedged forever (status Fetching, no retries, no retarget) —
-             restart it against the freshest certified checkpoint. *)
-          match node.fetcher with
-          | Some fetcher when not (State_transfer.finished fetcher) ->
-            retarget_fetch t node ~reason:"reboot"
-          | Some _ | None -> ())
-        t.cells;
-      let xn = t.xnodes.(n) in
-      xn.xn_kick_armed <- false;
-      let keys =
-        Hashtbl.fold (fun k _ acc -> k :: acc) xn.xn_ops [] |> List.sort String.compare
-      in
-      if List.exists (fun k -> not (Hashtbl.find xn.xn_ops k).x_done) keys then
-        arm_xkick t xn
-    end
-    else if Types.is_standby t.config n then begin
-      (* A rebooted standby lost its shadow-sync timer (and any in-flight
-         sync) with the crash; drop the dead fetcher and restart the tick. *)
-      let sb = t.standbys.(n - t.config.Types.n) in
-      sb.fetcher <- None;
-      arm_shadow_timer t sb
-    end;
-    trace_event t "fault.reboot" [ ("rid", string_of_int n) ]
-  | Faultplan.Promote sbid ->
-    if Types.is_standby t.config sbid then begin
-      (* Faultplan promotions roll through the replica slots in order, like
-         the migrating watchdog would; the verb exists to stage promotion
-         races (promote just after crash-standby) deterministically. *)
-      let slot = t.roll_cursor mod t.config.Types.n in
-      t.roll_cursor <- t.roll_cursor + 1;
-      trace_event t "fault.promote" [ ("sb", string_of_int sbid); ("slot", string_of_int slot) ];
-      promote_specific t ~slot ~standby:t.standbys.(sbid - t.config.Types.n)
-    end
-  | Faultplan.Crash_standby sbid ->
-    if Types.is_standby t.config sbid then begin
-      Engine.set_node_up t.engine sbid false;
-      trace_event t "fault.crash_standby" [ ("sb", string_of_int sbid) ]
-    end
-  | Faultplan.Partition (a, b) ->
-    Engine.partition t.engine a b;
-    trace_event t "fault.partition"
-      [
-        ("a", String.concat "," (List.map string_of_int a));
-        ("b", String.concat "," (List.map string_of_int b));
-      ]
-  | Faultplan.Heal ->
-    Engine.heal t.engine;
-    trace_event t "fault.heal" []
-  | Faultplan.Delay_link { src; dst; extra_us; for_us } ->
-    Engine.fault_delay t.engine ~src ~dst ~extra_us ~until:(until for_us);
-    trace_event t "fault.delay"
-      [ ("extra_us", string_of_int extra_us); ("link", link_attr src dst) ]
-  | Faultplan.Drop_link { src; dst; p; for_us } ->
-    Engine.fault_drop t.engine ~src ~dst ~p ~until:(until for_us);
-    trace_event t "fault.drop" [ ("link", link_attr src dst); ("p", Printf.sprintf "%g" p) ]
-  | Faultplan.Corrupt_link { src; dst; p; for_us } ->
-    Engine.fault_corrupt t.engine ~src ~dst ~p ~until:(until for_us);
-    trace_event t "fault.corrupt"
-      [ ("link", link_attr src dst); ("p", Printf.sprintf "%g" p) ]
-  | Faultplan.Set_behavior { node; behavior; shard } ->
-    let b = replica_behavior behavior in
-    (match shard with
-    | Some s ->
-      if s >= 0 && s < Array.length t.cells then Replica.set_behavior t.cells.(s).(node).replica b
-    | None -> Array.iter (fun row -> Replica.set_behavior row.(node).replica b) t.cells);
-    trace_event t "fault.behavior"
-      ([ ("behavior", Faultplan.behavior_name behavior); ("rid", string_of_int node) ]
-      @ match shard with Some s -> [ ("shard", string_of_int s) ] | None -> [])
-  | Faultplan.Attack_pre_prepare { node; mute_p; delay_us; for_us; shard } ->
-    t.pp_attack <-
+      let bytes = Bytes.of_string body in
+      let i = Base_util.Prng.int rng len in
+      let flip = 1 + Base_util.Prng.int rng 255 in
+      Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor flip));
       Some
-        {
-          atk_node = node;
-          atk_shard = shard;
-          atk_mute_p = mute_p;
-          atk_delay_us = delay_us;
-          atk_until = until for_us;
-        };
-    trace_event t "fault.attack_preprepare"
-      ([
-         ("delay_us", string_of_int delay_us);
-         ("mute", Printf.sprintf "%g" mute_p);
-         ("rid", string_of_int node);
-       ]
-      @ match shard with Some s -> [ ("shard", string_of_int s) ] | None -> [])
-
-let apply_faultplan t plan =
-  let base = Array.length t.plan in
-  t.plan <- Array.append t.plan (Array.of_list plan);
-  List.iteri
-    (fun i (ev : Faultplan.event) ->
-      ignore
-        (Engine.set_timer t.engine ~node:t.orchestrator
-           ~after:(Sim_time.of_us ev.Faultplan.at_us) ~tag:"fault" ~payload:(base + i)))
-    plan
-
-(* The adversary's view of one outgoing replica message: [None] means the
-   attacked primary mutes it, [Some extra_us] lets it through with that much
-   added delay.  Muting draws per destination, so a broadcast can reach an
-   arbitrary subset of the backups — omission-style equivocation. *)
-let pp_attack_extra t rid (env : Message.envelope) =
-  match t.pp_attack with
-  | Some atk
-    when atk.atk_node = rid
-         && Sim_time.compare (Engine.now t.engine) atk.atk_until < 0
-         && (match atk.atk_shard with
-            | Some s -> env.Message.shard = s
-            | None -> true)
-         && (match env.Message.body with Message.Pre_prepare _ -> true | _ -> false) ->
-    if
-      atk.atk_mute_p > 0.0
-      && Base_util.Prng.bernoulli (Engine.prng t.engine) atk.atk_mute_p
-    then begin
-      Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "adversary.pp_muted");
-      None
+        (Raw
+           {
+             from = env.Message.sender;
+             shard = env.Message.shard;
+             macs = env.Message.macs;
+             bytes = Bytes.to_string bytes;
+           })
     end
-    else begin
-      if atk.atk_delay_us > 0 then
-        Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "adversary.pp_delayed");
-      Some atk.atk_delay_us
-    end
-  | _ -> Some 0
+  | St _ | Raw _ -> None
 
-let on_orchestrator_timer t ~tag ~payload =
-  match tag with
-  | "fault" -> if payload >= 0 && payload < Array.length t.plan then exec_fault t t.plan.(payload)
-  | "watchdog" ->
-    if t.recovery_on then begin
-      (if t.migrate then
-         (* The migrating watchdog never takes a healthy replica down
-            without a warm spare to put in its place: with no eligible
-            standby (pool still cold, all mid-handshake, or all crashed)
-            it skips the round and retries next period.  Degrading to an
-            in-place reboot here would turn a cold pool into gratuitous
-            downtime — that fallback is reserved for promotion races,
-            where the slot machine is already down. *)
-         match eligible_standby t with
-         | Some sb -> promote_specific t ~slot:payload ~standby:sb
-         | None ->
-           Base_obs.Metrics.incr
-             (Base_obs.Metrics.counter t.metrics "base.standby.rounds_skipped");
-           trace_event t "recovery.promote_skipped" [ ("slot", string_of_int payload) ]
-       else recover_now t payload);
-      ignore
-        (Engine.set_timer t.engine ~node:t.orchestrator
-           ~after:(Sim_time.of_us t.recovery_period_us) ~tag:"watchdog" ~payload)
-    end
-  | "reboot_done" ->
-    let node = t.replicas.(payload) in
-    Engine.set_node_up t.engine payload true;
-    (match node.timeline with
-    | Some tl -> tl.tl_reboot_done_us <- now t
-    | None -> ());
-    trace_event t "recovery.reboot_done" [ ("rid", string_of_int payload) ];
-    begin_reintegration t node
-  | "promote_done" -> (
-    match List.assoc_opt payload t.pending_promotions with
-    | None -> ()
-    | Some sbid ->
-      t.pending_promotions <- List.filter (fun (s, _) -> s <> payload) t.pending_promotions;
-      let node = t.replicas.(payload) in
-      let sb = t.standbys.(sbid - t.config.Types.n) in
-      let viable =
-        Engine.node_is_up t.engine sbid
-        && (match sb.standby with Some ss -> ss.ss_synced_seq >= 0 | None -> false)
-      in
-      if not viable then begin
-        (* Promotion race: the standby died (or was wiped) mid-handshake.
-           The slot machine is already down, so fall back to the in-place
-           path — reboot it and differential-fetch as usual.  The episode's
-           timeline keeps [tl_migrated = true] with a null handoff, which is
-           exactly what happened: an attempted migration that degraded. *)
-        Base_obs.Metrics.incr
-          (Base_obs.Metrics.counter t.metrics "base.standby.promotions_aborted");
-        trace_event t "recovery.promote_aborted"
-          [ ("sb", string_of_int sbid); ("slot", string_of_int payload) ];
-        ignore
-          (Engine.set_timer t.engine ~node:t.orchestrator ~after:(Sim_time.of_us t.reboot_us)
-             ~tag:"reboot_done" ~payload)
-      end
-      else begin
-        let ss =
-          match sb.standby with
-          | Some ss -> ss
-          | None -> raise (Internal_error "Runtime: standby node without sync state")
-        in
-        Engine.set_node_up t.engine payload true;
-        (* Key handoff: fresh session keys for both identities — the slot
-           because a different machine now speaks for it, the demoted
-           machine because its old keys are suspect. *)
-        Auth.refresh_keys t.chains payload;
-        Auth.refresh_keys t.chains sbid;
-        (* The swap itself: the standby's warm repo and implementation take
-           over the slot identity; the suspect state moves to the standby
-           identity to be wiped at leisure. *)
-        let slot_repo = node.repo and slot_wrapper = node.wrapper in
-        node.repo <- sb.repo;
-        node.wrapper <- sb.wrapper;
-        sb.repo <- slot_repo;
-        sb.wrapper <- slot_wrapper;
-        ss.ss_promotions <- ss.ss_promotions + 1;
-        Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "base.standby.promotions");
-        let lag = Int64.sub (now t) ss.ss_synced_at_us in
-        Base_obs.Metrics.observe
-          (Base_obs.Metrics.histogram t.metrics "base.standby.lag_us")
-          (Int64.to_float lag);
-        (match node.timeline with
-        | Some tl ->
-          tl.tl_promote_done_us <- now t;
-          tl.tl_staleness_us <- lag;
-          let head =
-            match Replica.fetch_target node.replica with
-            | Some (seq, _) -> seq
-            | None -> ss.ss_synced_seq
-          in
-          tl.tl_staleness_seqs <- max 0 (head - ss.ss_synced_seq)
-        | None -> ());
-        node.recovery_stats.last_objects_fetched <- 0;
-        node.recovery_stats.last_bytes_fetched <- 0;
-        Replica.on_reboot node.replica;
-        (* Install the shadow-synced checkpoint as the slot's recovered
-           state.  [fetch_complete] handles the stale-standby edge itself:
-           if the group's stable watermark overtook the shadow seqno while
-           the handshake ran, it starts a differential fetch instead of
-           resuming from unusable state. *)
-        Replica.fetch_complete node.replica ~seq:ss.ss_synced_seq ~app_digest:ss.ss_root
-          ~client_rows:ss.ss_client_rows;
-        (* Catch up past the shadow watermark when the group moved on but
-           the log gap is still fetchable. *)
-        (match (node.fetcher, Replica.fetch_target node.replica) with
-        | None, Some (seq, digest)
-          when seq > ss.ss_synced_seq && Replica.status node.replica <> Replica.Fetching ->
-          Replica.force_fetch node.replica ~seq ~digest
-        | (Some _ | None), _ -> ());
-        (match node.fetcher with None -> close_timeline t node | Some _ -> ());
-        node.recovering <- false;
-        (* Demotion: the old slot machine is now the next standby.  Wipe its
-           suspect warm state — restart the implementation, recompute every
-           digest, drop cached checkpoints — and let the shadow-sync timer
-           refetch from scratch at leisure. *)
-        ss.ss_synced_seq <- -1;
-        ss.ss_client_rows <- [];
-        sb.wrapper.Service.restart ();
-        Objrepo.rebuild_all_digests sb.repo;
-        Objrepo.discard_below sb.repo max_int;
-        trace_event t "recovery.promote_done"
-          [ ("sb", string_of_int sbid); ("slot", string_of_int payload) ]
-      end)
-  | _ -> ()
-
-let disable_proactive_recovery t = t.recovery_on <- false
-
-let enable_proactive_recovery ?(reboot_us = 2_000_000) ?promote_us ?(migrate = false)
-    ~period_us t =
-  (* Reintegration rebuilds and re-fetches the node's single repo; teaching
-     it to repair every per-shard cell is future work, so the watchdog is
-     gated to unsharded systems (as is the standby pool, in [create]). *)
-  Base_util.Invariant.require
-    (Array.length t.cells = 1)
-    "Runtime.enable_proactive_recovery: requires an unsharded object space";
-  t.recovery_period_us <- period_us;
-  t.reboot_us <- reboot_us;
-  (match promote_us with Some v -> t.promote_us <- v | None -> ());
-  t.migrate <- migrate && Array.length t.standbys > 0;
-  t.recovery_on <- true;
-  (* Stagger: replica i's watchdog first fires at (i+1) * period / n, so
-     less than 1/3 of the replicas are ever recovering together. *)
-  Array.iter
-    (fun node ->
-      let offset = period_us / t.config.n * (node.rid + 1) in
-      ignore
-        (Engine.set_timer t.engine ~node:t.orchestrator ~after:(Sim_time.of_us offset)
-           ~tag:"watchdog" ~payload:node.rid))
-    t.replicas
-
-(* --- construction ---------------------------------------------------------- *)
-
-(* Inverse of the per-shard timer-tag namespace the replica nets install:
-   "vc.s2" -> ("vc", 2); a tag without the suffix belongs to shard 0. *)
-let split_shard_tag tag =
-  match String.rindex_opt tag '.' with
-  | Some i when i + 2 < String.length tag && tag.[i + 1] = 's' -> (
-    match int_of_string_opt (String.sub tag (i + 2) (String.length tag - i - 2)) with
-    | Some k -> (String.sub tag 0 i, k)
-    | None -> (tag, 0))
-  | Some _ | None -> (tag, 0)
-
-let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_clients () =
+let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
   let engine_config =
     match engine_config with
     | Some c -> c
@@ -1256,34 +182,24 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
      registry. *)
   let metrics = Base_obs.Metrics.create () in
   Engine.attach_metrics engine metrics;
-  (* In-flight corruption model: flip one byte of the encoded protocol body
-     and deliver it as raw wire bytes, so it exercises the replica's
-     decode-and-MAC rejection path exactly like a Byzantine network would.
-     State-transfer messages (simulator values, no wire codec) are mangled
-     beyond recognition instead: the corruptor declines and the engine drops
-     them. *)
-  Engine.set_corruptor engine (fun rng msg ->
-      match msg with
-      | Bft env ->
-        let body = env.Message.wire in
-        let len = String.length body in
-        if len = 0 then None
-        else begin
-          let bytes = Bytes.of_string body in
-          let i = Base_util.Prng.int rng len in
-          let flip = 1 + Base_util.Prng.int rng 255 in
-          Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor flip));
-          Some
-            (Raw
-               {
-                 from = env.Message.sender;
-                 shard = env.Message.shard;
-                 macs = env.Message.macs;
-                 bytes = Bytes.to_string bytes;
-               })
-        end
-      | St _ | Raw _ -> None);
-  let trace = Base_obs.Trace.create () in
+  Engine.set_corruptor engine corrupt;
+  let cx =
+    {
+      Cell.engine;
+      config;
+      metrics;
+      trace = Base_obs.Trace.create ();
+      (* System-wide state-transfer totals, accumulated as per-call deltas
+         so they survive the fetchers (which are discarded on completion). *)
+      st_totals = State_transfer.zero_stats ();
+      st_params =
+        {
+          State_transfer.default_params with
+          State_transfer.window = config.Types.st_window;
+          chunk_bytes = config.Types.st_chunk_bytes;
+        };
+    }
+  in
   let chains =
     Auth.create ~seed:(Int64.add engine_config.Engine.seed 7919L)
       ~n_principals:config.Types.n_principals
@@ -1291,153 +207,95 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
   let n = config.Types.n in
   let n_shards = Types.n_shards config in
   let group = Types.group_size config in
-  let replica_cells = Array.make_matrix n_shards group None in
-  let t_cell = ref None in
+  (* The one knot: replica upcalls need the finished system, which needs the
+     replicas.  Only the seq-0 checkpoint taken (and sent) from inside
+     [Replica.create] runs before it is tied, against the construction-time
+     repo; every other upcall reads [repo]/[wrapper] through the node record,
+     so a promotion's swap takes effect for execution and checkpointing
+     alike. *)
+  let knot = ref None in
   let the () =
-    match !t_cell with
+    match !knot with
     | Some t -> t
     | None -> raise (Internal_error "Runtime: node callback ran before wiring finished")
   in
-  let replica_net ~shard rid =
-    (* Per-shard timer namespace: every cell arms "vc"/"status" through its
-       own net, the engine carries one flat tag space per physical node, so
-       non-zero shards get a ".s<k>" suffix that the dispatcher strips
-       again.  Shard 0 keeps the bare tags — the exact unsharded wiring. *)
-    let tag_vc = if shard = 0 then "vc" else Printf.sprintf "vc.s%d" shard in
-    let tag_status = if shard = 0 then "status" else Printf.sprintf "status.s%d" shard in
-    {
-      Replica.send =
-        (fun ~dst env ->
-          match !t_cell with
-          (* Sends during construction (the seq-0 checkpoint) predate any
-             adversary; the plain path also keeps them safe. *)
-          | None -> Engine.send engine ~src:rid ~dst (Bft env)
-          | Some t -> (
-            match pp_attack_extra t rid env with
-            | None -> ()  (* the adversary muted this pre-prepare *)
-            | Some extra_us -> Engine.send engine ~extra_us ~src:rid ~dst (Bft env)));
-      set_timer =
-        (fun ~after_us ~tag ~payload ->
-          let tag =
-            if String.equal tag "vc" then tag_vc
-            else if String.equal tag "status" then tag_status
-            else tag
-          in
-          Engine.set_timer engine ~node:rid ~after:(Sim_time.of_us after_us) ~tag ~payload);
-      cancel_timer = (fun id -> Engine.cancel_timer engine id);
-      now_us = (fun () -> Engine.now engine);
-    }
-  in
-  let xnodes =
-    Array.init n (fun rid ->
-        {
-          xn_rid = rid;
-          xn_ops = Hashtbl.create 16;
-          xn_lock_mark = Array.make n_shards (-1, 0);
-          xn_kick_armed = false;
-        })
-  in
-  let make_cell ~role ~shard ~wrapper rid =
+  let make_cell ~shard ~wrapper rid =
     let repo =
       Objrepo.create ~cache_objs:config.Types.st_cache_objs
-        ~wrapper:(shard_view config ~shard wrapper) ~branching ()
+        ~wrapper:(Xshard.shard_view config ~shard wrapper) ~branching:16 ()
     in
-    let node_lazy () =
-      match replica_cells.(shard).(rid) with
-      | Some node -> node
-      | None -> raise (Internal_error "Runtime: replica node referenced before construction")
-    in
-    (* Every app upcall reads [repo]/[wrapper] through the node record (not
-       the construction-time bindings), so a promotion's repo/wrapper swap
-       takes effect for execution and checkpointing alike.  The only
-       exception is the seq-0 checkpoint taken from inside [Replica.create],
-       which necessarily predates the node record. *)
+    let node () = cell (the ()) ~shard rid in
     let app =
       {
         Replica.execute =
           (if n_shards <= 1 then
              fun ~client ~timestamp:_ ~operation ~nondet ~read_only ->
-               let node = node_lazy () in
+               let node = node () in
                node.wrapper.Service.execute ~client ~operation ~nondet ~read_only
                  ~modify:(fun i -> Objrepo.modify node.repo i)
            else
              fun ~client ~timestamp ~operation ~nondet ~read_only ->
-               xexecute (the ()) xnodes.(rid) ~shard ~client ~timestamp ~operation ~nondet
+               Xshard.execute (the ()).xshard ~rid ~shard ~client ~timestamp ~operation ~nondet
                  ~read_only);
         propose_nondet =
           (fun ~operation ->
-            (node_lazy ()).wrapper.Service.propose_nondet
-              ~clock_us:(Engine.local_clock engine rid) ~operation);
+            (node ()).wrapper.Service.propose_nondet ~clock_us:(Engine.local_clock engine rid)
+              ~operation);
         check_nondet =
           (fun ~operation ~nondet ->
-            (node_lazy ()).wrapper.Service.check_nondet
-              ~clock_us:(Engine.local_clock engine rid) ~operation ~nondet);
+            (node ()).wrapper.Service.check_nondet ~clock_us:(Engine.local_clock engine rid)
+              ~operation ~nondet);
         ready =
           (if n_shards <= 1 then Replica.always_ready
            else
              fun ~client ~timestamp ~operation ->
-               xready (the ()) xnodes.(rid) ~shard ~client ~timestamp ~operation);
+               Xshard.ready (the ()).xshard ~rid ~shard ~client ~timestamp ~operation);
         take_checkpoint =
           (fun ~seq ->
-            match replica_cells.(shard).(rid) with
-            | Some node ->
+            match !knot with
+            | Some t ->
+              let node = cell t ~shard rid in
               Objrepo.take_checkpoint node.repo ~seq
                 ~client_rows:(Replica.export_client_table node.replica)
             | None -> Objrepo.take_checkpoint repo ~seq ~client_rows:[]);
         discard_checkpoints_below =
           (fun seq ->
-            match replica_cells.(shard).(rid) with
-            | Some node -> Objrepo.discard_below node.repo seq
+            match !knot with
+            | Some t -> Objrepo.discard_below (cell t ~shard rid).repo seq
             | None -> Objrepo.discard_below repo seq);
         start_fetch =
-          (fun ~seq ~digest ->
-            let node = node_lazy () in
-            start_fetch (the ()) node ~seq ~digest);
+          (fun ~seq ~digest -> Recovery.start_fetch (the ()).recovery (node ()) ~seq ~digest);
       }
     in
-    let replica =
-      Replica.create ~metrics ~profile ~role ~shard ~config ~id:rid ~keychain:chains.(rid)
-        ~net:(replica_net ~shard rid) ~app ()
-    in
-    let standby =
-      match role with
-      | Replica.Active -> None
-      | Replica.Standby ->
-        Some
-          {
-            ss_synced_seq = -1;
-            ss_synced_at_us = -1L;
-            ss_root = Digest.zero;
-            ss_client_rows = [];
-            ss_promotions = 0;
-          }
-    in
-    let node =
+    let tag_vc = shard_tag ~shard "vc" and tag_status = shard_tag ~shard "status" in
+    let net =
       {
-        rid;
-        shard;
-        replica;
-        repo;
-        wrapper;
-        standby;
-        fetcher = None;
-        st_retries = 0;
-        st_progress = 0;
-        st_stalled = 0;
-        recovering = false;
-        recovery_stats =
-          {
-            recoveries = 0;
-            last_objects_fetched = 0;
-            last_bytes_fetched = 0;
-            total_objects_fetched = 0;
-            total_bytes_fetched = 0;
-          };
-        timeline = None;
+        Replica.send =
+          (fun ~dst env ->
+            match !knot with
+            | None -> Engine.send engine ~src:rid ~dst (Bft env)
+            | Some t -> (
+              match Chaos.pp_extra t.chaos rid env with
+              | None -> ()  (* the adversary muted this pre-prepare *)
+              | Some extra_us -> Engine.send engine ~extra_us ~src:rid ~dst (Bft env)));
+        set_timer =
+          (fun ~after_us ~tag ~payload ->
+            let tag =
+              if String.equal tag "vc" then tag_vc
+              else if String.equal tag "status" then tag_status
+              else tag
+            in
+            Engine.set_timer engine ~node:rid ~after:(Sim_time.of_us after_us) ~tag ~payload);
+        cancel_timer = (fun id -> Engine.cancel_timer engine id);
+        now_us = (fun () -> Engine.now engine);
       }
     in
-    replica_cells.(shard).(rid) <- Some node;
-    node
+    let role = if rid < n then Replica.Active else Replica.Standby in
+    let replica =
+      Replica.create ~metrics ~profile ~role ~shard ~config ~id:rid ~keychain:chains.(rid) ~net
+        ~app ()
+    in
+    Cell.make config ~rid ~shard ~replica ~repo ~wrapper
   in
   let wrappers = Array.init group (fun rid -> make_wrapper rid) in
   if n_shards > 1 then begin
@@ -1455,13 +313,10 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
   end;
   let cells =
     Array.init n_shards (fun shard ->
-        Array.init n (fun rid ->
-            make_cell ~role:Replica.Active ~shard ~wrapper:wrappers.(rid) rid))
+        Array.init n (fun rid -> make_cell ~shard ~wrapper:wrappers.(rid) rid))
   in
-  let replicas = cells.(0) in
   let standbys =
-    Array.init config.Types.s (fun i ->
-        make_cell ~role:Replica.Standby ~shard:0 ~wrapper:wrappers.(n + i) (n + i))
+    Array.init config.Types.s (fun i -> make_cell ~shard:0 ~wrapper:wrappers.(n + i) (n + i))
   in
   (* Clients route each request to the agreement instance owning its
      footprint; multi-shard footprints go to the lowest shard, which
@@ -1471,13 +326,7 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
     if n_shards <= 1 then fun _ -> 0
     else
       let w = wrappers.(0) in
-      fun operation ->
-        match w.Service.oids_of_op ~operation with
-        | [] -> 0
-        | oids ->
-          List.fold_left
-            (fun acc oid -> min acc (Types.shard_of_oid config oid))
-            (n_shards - 1) oids
+      fun operation -> match Xshard.footprint config w ~operation with [] -> 0 | s :: _ -> s
   in
   let clients =
     Array.init n_clients (fun k ->
@@ -1496,98 +345,30 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
            histogram) — constant memory per client, however many complete. *)
         Client.create ~metrics ~profile ~route ~config ~id:cid ~keychain:chains.(cid) ~net ())
   in
-  let orchestrator = config.Types.n_principals in
+  let xshard = Xshard.create cx cells in
+  let recovery = Recovery.create cx ~chains ~cells ~standbys in
   let t =
     {
-      engine;
-      config;
-      chains;
-      replicas;
+      cx;
       cells;
-      xnodes;
       standbys;
       clients;
-      orchestrator;
-      recovery_period_us = 0;
-      reboot_us = 2_000_000;
-      promote_us = 30_000;
-      migrate = false;
-      recovery_on = false;
-      pending_promotions = [];
-      roll_cursor = 0;
-      metrics;
       profile;
-      trace;
-      st_totals =
-        {
-          State_transfer.meta_fetched = 0;
-          objects_fetched = 0;
-          bytes_fetched = 0;
-          chunks_fetched = 0;
-          cache_hits = 0;
-          retries = 0;
-          quarantines = 0;
-          heads_rejected = 0;
-          meta_rejected = 0;
-          objects_rejected = 0;
-        };
-      timelines = [];
-      plan = [||];
-      pp_attack = None;
+      xshard;
+      recovery;
+      chaos = Chaos.create cx ~cells ~standbys ~xshard ~recovery;
     }
   in
-  t_cell := Some t;
-  (* Register event handlers.  Each active physical node registers once and
-     dispatches to its per-shard cells: protocol envelopes by their shard
-     tag, state transfer by the St/Raw shard field, timers by payload
-     ("st_retry"), by tag suffix ("vc.s1"), or to the node-level cross-shard
-     kick.  Standbys (shard 0 only, enforced at create) keep the flat
-     single-cell handler plus the shadow tick. *)
-  let register_replica rid =
-    Engine.add_node engine ~id:rid (fun _engine ev ->
-        let cell shard =
-          if shard >= 0 && shard < n_shards then Some cells.(shard).(rid) else None
-        in
-        match ev with
-        | Engine.Deliver { src = _; msg = Bft env } -> (
-          match cell env.Message.shard with
-          | Some node -> Replica.receive node.replica env
-          | None -> ())  (* shard tag out of range: drop *)
-        | Engine.Deliver { src = _; msg = St { from; shard; body } } -> (
-          match cell shard with
-          | Some node -> handle_st t node ~from body
-          | None -> ())
-        | Engine.Deliver { src = _; msg = Raw { from; shard; macs; bytes } } -> (
-          (* Corrupted-in-flight bytes: feed the wire-decode path, which
-             counts and drops them (bft.reject.decode / bft.reject.mac). *)
-          match cell shard with
-          | Some node -> Replica.receive_wire ~shard node.replica ~sender:from ~macs bytes
-          | None -> ())
-        | Engine.Timer { tag = "st_retry"; payload } -> (
-          match cell payload with Some node -> st_retry_tick t node | None -> ())
-        | Engine.Timer { tag = "xkick"; _ } -> xshard_kick t xnodes.(rid)
-        | Engine.Timer { tag; payload } -> (
-          let base, shard = split_shard_tag tag in
-          match cell shard with
-          | Some node -> Replica.on_timer node.replica ~tag:base ~payload
-          | None -> ()))
-  in
+  knot := Some t;
+  let register rid row = Engine.add_node engine ~id:rid (fun _engine ev -> dispatch t rid row ev) in
   for rid = 0 to n - 1 do
-    register_replica rid;
+    register rid (Array.map (fun row -> row.(rid)) cells);
     Array.iter (fun row -> Replica.start_status_timer row.(rid).replica) cells
   done;
   Array.iter
-    (fun node ->
-      Engine.add_node engine ~id:node.rid (fun _engine ev ->
-          match ev with
-          | Engine.Deliver { msg = Bft env; _ } -> Replica.receive node.replica env
-          | Engine.Deliver { msg = St { from; body; _ }; _ } -> handle_st t node ~from body
-          | Engine.Deliver { msg = Raw { from; macs; bytes; _ }; _ } ->
-            Replica.receive_wire node.replica ~sender:from ~macs bytes
-          | Engine.Timer { tag = "st_retry"; _ } -> st_retry_tick t node
-          | Engine.Timer { tag = "shadow_sync"; _ } -> shadow_tick t node
-          | Engine.Timer { tag; payload } -> Replica.on_timer node.replica ~tag ~payload);
-      arm_shadow_timer t node)
+    (fun (sb : Cell.t) ->
+      register sb.rid [| sb |];
+      Recovery.arm_shadow recovery sb)
     standbys;
   Array.iter
     (fun c ->
@@ -1597,11 +378,28 @@ let create ?engine_config ?profile ?(branching = 16) ~config ~make_wrapper ~n_cl
           | Engine.Deliver { msg = St _ | Raw _; _ } -> ()
           | Engine.Timer { tag; payload } -> Client.on_timer c ~tag ~payload))
     clients;
-  Engine.add_node engine ~id:orchestrator (fun _engine ev ->
+  Engine.add_node engine ~id:config.Types.n_principals (fun _engine ev ->
       match ev with
-      | Engine.Timer { tag; payload } -> on_orchestrator_timer t ~tag ~payload
+      | Engine.Timer { tag = "fault"; payload } -> Chaos.on_timer t.chaos payload
+      | Engine.Timer { tag; payload } -> Recovery.on_timer t.recovery ~tag ~payload
       | Engine.Deliver _ -> ());
   t
+
+(* --- proactive recovery and chaos ------------------------------------------ *)
+
+let enable_proactive_recovery ?(reboot_us = 2_000_000) ?promote_us ?(migrate = false)
+    ~period_us t =
+  Recovery.enable t.recovery ~reboot_us ?promote_us ~migrate ~period_us ()
+
+let disable_proactive_recovery t = Recovery.disable t.recovery
+
+let recover_now ?reboot_us t rid = Recovery.start ?reboot_us t.recovery ~slot:rid Recovery.In_place
+
+let promote_now t slot = Recovery.promote_now t.recovery slot
+
+let apply_faultplan t plan = Chaos.apply t.chaos plan
+
+let set_behavior ?shard t rid b = Chaos.set_behavior t.chaos ~node:rid ~shard b
 
 (* --- client-facing API ------------------------------------------------------ *)
 
@@ -1615,7 +413,7 @@ let step_until t ~what ~max_events done_ =
   let events = ref 0 in
   let quiescent = ref false in
   while (not (done_ ())) && (not !quiescent) && !events < max_events do
-    if Engine.step t.engine then incr events else quiescent := true
+    if Engine.step t.cx.engine then incr events else quiescent := true
   done;
   if done_ () then Ok ()
   else if !quiescent then Error (Printf.sprintf "Runtime.%s: simulation went quiescent" what)
@@ -1631,35 +429,20 @@ let run_until_idle ?max_events t =
 let try_invoke_sync ?(max_events = 5_000_000) t ~client:idx ?read_only ~operation () =
   let result = ref None in
   invoke t ~client:idx ?read_only ~operation (fun r -> result := Some r);
-  match
-    step_until t ~what:"invoke_sync" ~max_events (fun () ->
-        match !result with Some _ -> true | None -> false)
-  with
-  | Error e -> Error e
-  | Ok () -> (
-    match !result with
-    | Some r -> Ok r
-    | None -> Error "Runtime.invoke_sync: no result")
+  Result.bind
+    (step_until t ~what:"invoke_sync" ~max_events (fun () -> Option.is_some !result))
+    (fun () -> Option.to_result ~none:"Runtime.invoke_sync: no result" !result)
 
 let invoke_sync t ~client ?read_only ~operation () =
   match try_invoke_sync t ~client ?read_only ~operation () with
   | Ok r -> r
   | Error e -> raise (Stalled e)
 
-let set_behavior ?shard t rid b =
-  match shard with
-  | Some s -> Replica.set_behavior t.cells.(s).(rid).replica b
-  | None -> Array.iter (fun row -> Replica.set_behavior row.(rid).replica b) t.cells
-
-let n_shards t = Array.length t.cells
-
-let shard_replica t ~shard rid = t.cells.(shard).(rid)
-
 (* --- observability export --------------------------------------------------- *)
 
 let enable_net_trace t =
-  Engine.set_tracer t.engine (fun ts line ->
-      Base_obs.Trace.event t.trace ~ts ~name:"net" [ ("line", line) ])
+  Engine.set_tracer t.cx.engine (fun ts line ->
+      Base_obs.Trace.event t.cx.trace ~ts ~name:"net" [ ("line", line) ])
 
 let counters_json (c : Engine.counters) =
   Base_obs.Json.obj
@@ -1698,7 +481,7 @@ let timeline_json tl =
 
 let metrics_report t =
   let open Base_obs.Json in
-  let st = t.st_totals in
+  let st = t.cx.st_totals in
   obj
     [
       ( "net",
@@ -1708,12 +491,12 @@ let metrics_report t =
               obj
                 (List.map
                    (fun (label, c) -> (label, counters_json c))
-                   (Engine.label_counters t.engine)) );
-            ("max_queue_depth", Int (Engine.max_queue_depth t.engine));
-            ("queue_depth", Int (Engine.queue_depth t.engine));
-            ("totals", counters_json (Engine.total_counters t.engine));
+                   (Engine.label_counters t.cx.engine)) );
+            ("max_queue_depth", Int (Engine.max_queue_depth t.cx.engine));
+            ("queue_depth", Int (Engine.queue_depth t.cx.engine));
+            ("totals", counters_json (Engine.total_counters t.cx.engine));
           ] );
-      ("metrics", Base_obs.Metrics.to_json t.metrics);
+      ("metrics", Base_obs.Metrics.to_json t.cx.metrics);
       ("recoveries", List (List.map timeline_json (recovery_timelines t)));
       ( "state_transfer",
         obj
@@ -1730,5 +513,5 @@ let metrics_report t =
             ("rejected", Int (State_transfer.rejected st));
             ("retries", Int st.State_transfer.retries);
           ] );
-      ("trace_events", Int (Base_obs.Trace.length t.trace));
+      ("trace_events", Int (Base_obs.Trace.length t.cx.trace));
     ]

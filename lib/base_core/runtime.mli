@@ -83,11 +83,12 @@ type standby_sync = {
   mutable ss_promotions : int;  (** times this pool slot was promoted *)
 }
 
+type cell_state
+(** A cell's private state-transfer bookkeeping (fetcher, retry counters,
+    shard routing). *)
+
 type replica_node = {
   rid : int;
-  shard : int;
-      (** the agreement instance this cell serves; a physical node hosts one
-          cell per shard, all sharing its node id on the network *)
   replica : Base_bft.Replica.t;
   mutable repo : Objrepo.t;
   mutable wrapper : Service.wrapper;
@@ -95,17 +96,11 @@ type replica_node = {
           the slot node and the standby node — the warm state takes over the
           slot identity, the suspect state is demoted for wiping *)
   standby : standby_sync option;  (** [Some] iff this node is a warm standby *)
-  mutable fetcher : State_transfer.t option;
-  mutable st_retries : int;  (** retries of the current fetch before re-targeting *)
-  mutable st_progress : int;
-      (** progress mark (sum of fetch counters) at the last retry round *)
-  mutable st_stalled : int;
-      (** consecutive retry rounds without progress; 3 triggers an early
-          re-target (the target was likely garbage-collected under load) *)
-  mutable recovering : bool;
   recovery_stats : recovery_stats;
-  mutable timeline : recovery_timeline option;
+  st : cell_state;
 }
+(** One replica cell: a physical node hosts one cell per shard, all sharing
+    its node id on the network. *)
 
 val msg_size : msg -> int
 (** Wire-size estimate, for building a custom engine config. *)
@@ -123,7 +118,6 @@ type t
 val create :
   ?engine_config:msg Base_sim.Engine.config ->
   ?profile:Base_obs.Profile.t ->
-  ?branching:int ->
   config:Base_bft.Types.config ->
   make_wrapper:(int -> Service.wrapper) ->
   n_clients:int ->
@@ -131,9 +125,9 @@ val create :
   t
 (** [make_wrapper i] supplies the conformance wrapper run by replica [i] —
     pass different implementations for opportunistic N-version programming.
-    [branching] is the partition-tree fan-out (default 16).  Each replica's
-    {!Objrepo} leaf cache is sized by [config.st_cache_objs], and its
-    state-transfer pipeline by [config.st_window] / [config.st_chunk_bytes].
+    Each replica's partition tree has fan-out 16, its {!Objrepo} leaf cache
+    is sized by [config.st_cache_objs], and its state-transfer pipeline by
+    [config.st_window] / [config.st_chunk_bytes].
 
     When [config.shard_bounds] names S > 1 shards, every physical node runs
     S replica cells — one agreement instance per shard, each over an
@@ -205,7 +199,8 @@ val now : t -> Base_sim.Sim_time.t
 val set_behavior : ?shard:int -> t -> int -> Base_bft.Replica.behavior -> unit
 (** Fault-injection behaviour of replica [rid]; [?shard] restricts it to one
     agreement instance's cell, the default applies it to every cell the node
-    hosts. *)
+    hosts.  Raises [Invalid_argument] if the system has no such replica or
+    shard. *)
 
 (** {1 Proactive recovery} *)
 
@@ -230,7 +225,7 @@ val disable_proactive_recovery : t -> unit
 val recover_now : ?reboot_us:int -> t -> int -> unit
 (** Force one replica through the in-place recovery procedure immediately. *)
 
-val promote_now : ?promote_us:int -> t -> int -> unit
+val promote_now : t -> int -> unit
 (** Migration recovery of slot [rid] right now: promote the freshest
     promotable standby into it (in-place fallback when none exists).  The
     demoted machine joins the pool under the standby's id with its state
@@ -254,7 +249,13 @@ val apply_faultplan : t -> Base_sim.Faultplan.t -> unit
     probability (omission equivocation) and survivors are delayed.  Muted
     and delayed pre-prepares are counted as [adversary.pp_muted] /
     [adversary.pp_delayed]; corrupted deliveries as
-    [engine.corrupted_msgs]. *)
+    [engine.corrupted_msgs].
+
+    The plan is checked whole before anything is scheduled: an event naming
+    a node the system does not have ([crash]/[reboot] beyond the replicas,
+    standbys and clients; [promote]/[crash-standby] of a non-standby;
+    [behavior]/[attack-preprepare] of a non-replica or a missing shard)
+    raises [Invalid_argument] naming that event. *)
 
 val enable_net_trace : t -> unit
 (** Mirror the engine's free-form tracer lines into the structured

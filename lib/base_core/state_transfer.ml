@@ -140,7 +140,34 @@ type stats = {
   mutable objects_rejected : int;
 }
 
+let zero_stats () =
+  {
+    meta_fetched = 0;
+    objects_fetched = 0;
+    bytes_fetched = 0;
+    chunks_fetched = 0;
+    cache_hits = 0;
+    retries = 0;
+    quarantines = 0;
+    heads_rejected = 0;
+    meta_rejected = 0;
+    objects_rejected = 0;
+  }
+
 let rejected s = s.heads_rejected + s.meta_rejected + s.objects_rejected
+
+let add_delta ~into ~before after =
+  into.meta_fetched <- into.meta_fetched + (after.meta_fetched - before.meta_fetched);
+  into.objects_fetched <- into.objects_fetched + (after.objects_fetched - before.objects_fetched);
+  into.bytes_fetched <- into.bytes_fetched + (after.bytes_fetched - before.bytes_fetched);
+  into.chunks_fetched <- into.chunks_fetched + (after.chunks_fetched - before.chunks_fetched);
+  into.cache_hits <- into.cache_hits + (after.cache_hits - before.cache_hits);
+  into.retries <- into.retries + (after.retries - before.retries);
+  into.quarantines <- into.quarantines + (after.quarantines - before.quarantines);
+  into.heads_rejected <- into.heads_rejected + (after.heads_rejected - before.heads_rejected);
+  into.meta_rejected <- into.meta_rejected + (after.meta_rejected - before.meta_rejected);
+  into.objects_rejected <-
+    into.objects_rejected + (after.objects_rejected - before.objects_rejected)
 
 (* Fetched objects install in ascending index order (indices are unique, so
    the payload never participates in the comparison). *)
@@ -387,19 +414,7 @@ let start ?(params = default_params) ?(trace = fun _ -> ()) ~repo ~sources ~targ
       n_inflight = 0;
       round = 0;
       done_ = false;
-      stats =
-        {
-          meta_fetched = 0;
-          objects_fetched = 0;
-          bytes_fetched = 0;
-          chunks_fetched = 0;
-          cache_hits = 0;
-          retries = 0;
-          quarantines = 0;
-          heads_rejected = 0;
-          meta_rejected = 0;
-          objects_rejected = 0;
-        };
+      stats = zero_stats ();
     }
   in
   broadcast_head t;

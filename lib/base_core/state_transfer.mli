@@ -138,10 +138,18 @@ val compare_obj : int * string -> int * string -> int
     object index.  Part of the module's determinism contract (the install
     batch must not depend on hash-table iteration order). *)
 
+val zero_stats : unit -> stats
+(** A fresh all-zero counter record. *)
+
 val rejected : stats -> int
 (** Total verification failures across heads, meta nodes and objects.  A
     fetch accumulating rejections is talking to faulty responders; the
     runtime uses this to re-target instead of retrying blindly. *)
+
+val add_delta : into:stats -> before:stats -> stats -> unit
+(** [add_delta ~into ~before after] adds [after - before], field by field,
+    to [into] without allocating; with [into == before] it overwrites
+    [before] with a copy of [after]. *)
 
 type t
 

@@ -90,34 +90,3 @@ val view_decoder : view -> decoder
 
 val view_equal_string : view -> string -> bool
 (** Bytewise comparison without materialising the view. *)
-
-(** {1 Reference readers (test-only)}
-
-    The pre-overhaul allocating readers, kept verbatim as the oracle for
-    the differential decode fuzz suite: on every input the slice readers
-    must produce identical values and identical {!Decode_error}s.  Not for
-    production use. *)
-
-module Ref : sig
-  type decoder
-
-  val decoder : string -> decoder
-
-  val read_u32 : decoder -> int
-
-  val read_i64 : decoder -> int64
-
-  val read_bool : decoder -> bool
-
-  val read_opaque : decoder -> string
-
-  val read_str : decoder -> string
-
-  val read_list : decoder -> (decoder -> 'a) -> 'a list
-
-  val read_option : decoder -> (decoder -> 'a) -> 'a option
-
-  val expect_end : decoder -> unit
-
-  val remaining : decoder -> int
-end

@@ -1,9 +1,10 @@
 (* Flat binary min-heap specialised for the engine's event queue.
 
-   The generic Base_util.Heap boxes every element in an {value; seq}
-   record and calls a closure comparator through two indirections per
-   sift step; at simulator scale (one push+pop per message and timer)
-   that is pure allocator and branch-predictor pressure.  Here the key
+   A generic heap (the one this replaced survives as the test oracle
+   test/heap.ml) boxes every element in an {value; seq} record and calls
+   a closure comparator through two indirections per sift step; at
+   simulator scale (one push+pop per message and timer) that is pure
+   allocator and branch-predictor pressure.  Here the key
    is split into two unboxed [int array]s — event time and insertion
    sequence — so sift comparisons touch no heap blocks, and payloads
    live in a parallel array moved only by index.

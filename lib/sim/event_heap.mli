@@ -4,9 +4,9 @@
     unboxed [int] arrays, so a push/pop performs no allocation beyond
     occasional capacity doubling and sift comparisons touch no heap
     blocks.  Pop order is exactly sorted (time, seq) — keys are unique —
-    so it dequeues identically to the generic [Base_util.Heap] ordered by
-    time with its insertion-sequence tie-break (the engine-determinism
-    differential suite pins this equivalence). *)
+    so it dequeues identically to a generic heap ordered by time with an
+    insertion-sequence tie-break (the engine-determinism differential suite
+    pins this equivalence against the oracle in test/heap.ml). *)
 
 type 'a t
 

@@ -3,7 +3,6 @@
    determinism, so pin it down before anyone "simplifies" it back to the
    polymorphic [compare]. *)
 
-module Heap = Base_util.Heap
 module Loc = Base_util.Loc_count
 module St = Base_core.State_transfer
 module Ow = Base_oodb.Oodb_wrapper

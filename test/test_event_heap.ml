@@ -1,5 +1,5 @@
 (* Engine event-queue determinism: the flat array-backed [Event_heap] must
-   dequeue {e identically} to the generic [Base_util.Heap] it replaced
+   dequeue {e identically} to the generic [Heap] it replaced
    (comparator on time, insertion-order tie-break) on fuzzed schedules —
    heavy ties, interleaved pushes and pops, bursts — and the engine built
    on it must keep timer semantics exact: FIFO among equal deadlines,
@@ -7,7 +7,6 @@
    blessed experiment seed rides on this equivalence. *)
 
 module Event_heap = Base_sim.Event_heap
-module Heap = Base_util.Heap
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
 module Prng = Base_util.Prng

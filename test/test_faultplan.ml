@@ -85,6 +85,31 @@ let test_errors () =
       ("at 1ms crash 0\nbad", "line 2");
     ]
 
+(* --- ids checked against the system ------------------------------------------ *)
+
+(* Parsing accepts any node id; the runtime checks a plan against the system
+   it is applied to, whole, before scheduling anything — an out-of-range id
+   must never throw from inside the simulation, where a stall is data. *)
+let test_ids_checked () =
+  let module Runtime = Base_core.Runtime in
+  let sys, _ = Helpers.make_system ~seed:3L () in
+  let rejects text msg =
+    Alcotest.check_raises text (Invalid_argument msg) (fun () ->
+        Runtime.apply_faultplan sys (parse_exn text))
+  in
+  rejects "at 1us behavior 9 mute"
+    {|Runtime.apply_faultplan: "at 1us behavior 9 mute": no replica 9|};
+  rejects "at 1us crash 99" {|Runtime.apply_faultplan: "at 1us crash 99": no node 99|};
+  rejects "at 1us reboot 99" {|Runtime.apply_faultplan: "at 1us reboot 99": no node 99|};
+  rejects "at 1us crash 0\nat 2us behavior 0 mute shard=1"
+    {|Runtime.apply_faultplan: "at 2us behavior 0 mute shard=1": no shard 1|};
+  Alcotest.check_raises "set_behavior on a missing shard"
+    (Invalid_argument "Runtime.set_behavior: no shard 3") (fun () ->
+      Runtime.set_behavior ~shard:3 sys 0 Base_bft.Replica.Mute);
+  (* The rejected plans scheduled nothing: replica 0 was never crashed. *)
+  Alcotest.(check string) "system unaffected" "ok" (Helpers.set sys ~client:0 0 "v");
+  Alcotest.(check bool) "replica 0 up" true (Base_sim.Engine.node_is_up (Runtime.engine sys) 0)
+
 (* --- fuzzed round-trip -------------------------------------------------------- *)
 
 (* Probabilities from a short-decimal set so the %g rendering is exact. *)
@@ -150,5 +175,6 @@ let suite =
   [
     Alcotest.test_case "grammar tour" `Quick test_grammar;
     Alcotest.test_case "error reporting" `Quick test_errors;
+    Alcotest.test_case "ids checked against the system" `Quick test_ids_checked;
     roundtrip;
   ]

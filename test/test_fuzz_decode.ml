@@ -195,7 +195,7 @@ let test_huge_length_claims_bounded_alloc () =
     sample_bodies
 
 (* Differential decode: the zero-copy slice readers against the verbatim
-   pre-overhaul readers kept in [Xdr.Ref].  On every input — random bytes,
+   pre-overhaul readers kept in [Xdr_ref].  On every input — random bytes,
    valid encodings, every 1-bit corruption of them — both must produce the
    identical value or the identical [Decode_error], so the overhaul cannot
    have changed what any wire input means. *)
@@ -217,31 +217,31 @@ let show_outcome = function
    reader and renders it to a comparable string; [remaining] is folded in
    so cursor positions are compared too, not just values. *)
 let diff_probes :
-    (string * (Xdr.decoder -> string) * (Xdr.Ref.decoder -> string)) list =
+    (string * (Xdr.decoder -> string) * (Xdr_ref.decoder -> string)) list =
   let shown to_s rem v = Printf.sprintf "%s/rem=%d" (to_s v) rem in
   let str_list l = String.concat ";" l in
   [
     ( "u32",
       (fun d -> shown string_of_int (Xdr.remaining d) (Xdr.read_u32 d)),
-      fun d -> shown string_of_int (Xdr.Ref.remaining d) (Xdr.Ref.read_u32 d) );
+      fun d -> shown string_of_int (Xdr_ref.remaining d) (Xdr_ref.read_u32 d) );
     ( "i64",
       (fun d -> shown Int64.to_string (Xdr.remaining d) (Xdr.read_i64 d)),
-      fun d -> shown Int64.to_string (Xdr.Ref.remaining d) (Xdr.Ref.read_i64 d) );
+      fun d -> shown Int64.to_string (Xdr_ref.remaining d) (Xdr_ref.read_i64 d) );
     ( "bool",
       (fun d -> shown string_of_bool (Xdr.remaining d) (Xdr.read_bool d)),
-      fun d -> shown string_of_bool (Xdr.Ref.remaining d) (Xdr.Ref.read_bool d) );
+      fun d -> shown string_of_bool (Xdr_ref.remaining d) (Xdr_ref.read_bool d) );
     ( "opaque",
       (fun d -> shown Fun.id (Xdr.remaining d) (Xdr.read_opaque d)),
-      fun d -> shown Fun.id (Xdr.Ref.remaining d) (Xdr.Ref.read_opaque d) );
+      fun d -> shown Fun.id (Xdr_ref.remaining d) (Xdr_ref.read_opaque d) );
     ( "view",
       (* read_view is wire-compatible with read_opaque: same bytes, same
          cursor, no copy — compared against the reference copying reader. *)
       (fun d -> shown Fun.id (Xdr.remaining d) (Xdr.view_to_string (Xdr.read_view d))),
-      fun d -> shown Fun.id (Xdr.Ref.remaining d) (Xdr.Ref.read_opaque d) );
+      fun d -> shown Fun.id (Xdr_ref.remaining d) (Xdr_ref.read_opaque d) );
     ( "list-str",
       (fun d -> shown str_list (Xdr.remaining d) (Xdr.read_list d Xdr.read_str)),
       fun d ->
-        shown str_list (Xdr.Ref.remaining d) (Xdr.Ref.read_list d Xdr.Ref.read_str) );
+        shown str_list (Xdr_ref.remaining d) (Xdr_ref.read_list d Xdr_ref.read_str) );
     ( "option-i64",
       (fun d ->
         shown
@@ -251,8 +251,8 @@ let diff_probes :
       fun d ->
         shown
           (function None -> "none" | Some v -> Int64.to_string v)
-          (Xdr.Ref.remaining d)
-          (Xdr.Ref.read_option d Xdr.Ref.read_i64) );
+          (Xdr_ref.remaining d)
+          (Xdr_ref.read_option d Xdr_ref.read_i64) );
     ( "record-end",
       (fun d ->
         let a = Xdr.read_u32 d in
@@ -260,9 +260,9 @@ let diff_probes :
         Xdr.expect_end d;
         Printf.sprintf "%d:%s" a b),
       fun d ->
-        let a = Xdr.Ref.read_u32 d in
-        let b = Xdr.Ref.read_str d in
-        Xdr.Ref.expect_end d;
+        let a = Xdr_ref.read_u32 d in
+        let b = Xdr_ref.read_str d in
+        Xdr_ref.expect_end d;
         Printf.sprintf "%d:%s" a b );
   ]
 
@@ -270,7 +270,7 @@ let diff_one ~what raw =
   List.iter
     (fun (name, new_read, ref_read) ->
       let got = run_outcome Fun.id (fun () -> new_read (Xdr.decoder raw)) in
-      let want = run_outcome Fun.id (fun () -> ref_read (Xdr.Ref.decoder raw)) in
+      let want = run_outcome Fun.id (fun () -> ref_read (Xdr_ref.decoder raw)) in
       (match got with
       | Raised e -> Alcotest.failf "%s %s: slice reader raised %s" what name e
       | Value _ | Failed _ -> ());

@@ -133,6 +133,38 @@ let test_staggering_limits_concurrent_recoveries () =
     (Printf.sprintf "at most 1 replica down at once (saw %d)" !max_down)
     true (!max_down <= 1)
 
+(* The system-wide state-transfer totals are folded in call by call from
+   every fetcher, the per-node recovery stats likewise; both must count the
+   same objects and bytes, over in-place recovery and over migration (where
+   standbys fetch too). *)
+let test_st_totals_add_up () =
+  let check ~what sys =
+    let nodes = Array.append (Runtime.replicas sys) (Runtime.standbys sys) in
+    let sum f = Array.fold_left (fun acc n -> acc + f n.Runtime.recovery_stats) 0 nodes in
+    let tot = Runtime.st_totals sys in
+    Alcotest.(check bool) (what ^ ": something was fetched") true
+      (tot.Base_core.State_transfer.objects_fetched > 0);
+    Alcotest.(check int) (what ^ ": objects") tot.Base_core.State_transfer.objects_fetched
+      (sum (fun s -> s.Runtime.total_objects_fetched));
+    Alcotest.(check int) (what ^ ": bytes") tot.Base_core.State_transfer.bytes_fetched
+      (sum (fun s -> s.Runtime.total_bytes_fetched))
+  in
+  let sys, kvs = make_system ~seed:44L ~checkpoint_period:8 () in
+  Runtime.enable_proactive_recovery ~reboot_us:80_000 ~period_us:1_200_000 sys;
+  drive_load sys ~ops:10 ~gap_ms:50;
+  (* Corrupt a replica so its recovery has objects to fetch. *)
+  kvs.(1).slots.(2) <- "garbage";
+  drive_load sys ~ops:30 ~gap_ms:100;
+  Runtime.disable_proactive_recovery sys;
+  settle sys 2.0;
+  check ~what:"in place" sys;
+  let sys, _ = make_system ~seed:45L ~checkpoint_period:8 ~standbys:1 () in
+  Runtime.enable_proactive_recovery ~migrate:true ~reboot_us:200_000 ~period_us:1_000_000 sys;
+  drive_load sys ~ops:40 ~gap_ms:120;
+  Runtime.disable_proactive_recovery sys;
+  settle sys 2.0;
+  check ~what:"migration" sys
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -142,6 +174,7 @@ let suite =
     Alcotest.test_case "repair of corrupt state" `Quick test_repair_of_corrupt_state;
     Alcotest.test_case "recovery refreshes keys" `Quick test_recovery_refreshes_keys;
     Alcotest.test_case "rollback and replay exact" `Quick test_rollback_replay_exact;
+    Alcotest.test_case "state-transfer totals add up" `Quick test_st_totals_add_up;
     Alcotest.test_case "staggering limits concurrent recoveries" `Quick
       test_staggering_limits_concurrent_recoveries;
   ]

@@ -3,7 +3,6 @@
    repository, simulator. *)
 
 module Prng = Base_util.Prng
-module Heap = Base_util.Heap
 module Hex = Base_util.Hex
 module Stats = Base_util.Stats
 module Sha256 = Base_crypto.Sha256
