@@ -289,23 +289,22 @@ let envelope_digest env =
     env.digest_memo <- Some d;
     d
 
-(* What the MACs authenticate.  Shard 0 signs the bare digest — byte-for-byte
-   what every pre-sharding deployment signed, so unsharded MAC streams (and
-   the blessed benches over them) are unchanged.  Shard k > 0 appends the
-   shard id, which binds the envelope to its agreement instance: a validly
-   MACed message replayed from shard j into shard k fails verification
-   instead of splicing one shard's certificate into another's log. *)
-let mac_input ~shard d =
-  if shard = 0 then Digest.raw d else Digest.raw d ^ String.make 1 (Char.chr (shard land 0xff))
-
-(* Shard k > 0 also pays 4 wire bytes for the shard tag in the header; the
-   unsharded size formula is unchanged. *)
+(* What the MACs authenticate: the digest, then the shard tag.  Shard 0
+   signs the bare digest — byte-for-byte what every pre-sharding deployment
+   signed, so unsharded MAC streams (and the blessed benches over them) are
+   unchanged.  Shard k > 0 appends k as the big-endian u32 the wire header
+   carries (HMAC takes it as a suffix, so nothing is concatenated), which
+   binds the envelope to its agreement instance: a validly MACed message
+   replayed from shard j into shard k fails verification instead of
+   splicing one shard's certificate into another's log.  The header's tag
+   costs shard k > 0 its 4 wire bytes; the unsharded size formula is
+   unchanged. *)
 let shard_overhead shard = if shard = 0 then 0 else 4
 
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
-  let macs = Base_crypto.Auth.digest_authenticator chain ~n:n_receivers (mac_input ~shard d) in
+  let macs = Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ~suffix:shard (Digest.raw d) in
   (* Wire size: body + one 8-byte truncated MAC per receiver + small header. *)
   {
     sender;
@@ -321,7 +320,7 @@ let seal chain ?(shard = 0) ~sender ~n_receivers body =
 let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
-  let macs = [| Base_crypto.Auth.mac_digest_for chain ~receiver (mac_input ~shard d) |] in
+  let macs = [| Base_crypto.Auth.mac_digest_for chain ~receiver ~suffix:shard (Digest.raw d) |] in
   {
     sender;
     shard;
@@ -356,8 +355,10 @@ let verify chain ~receiver env =
   let slot = receiver - env.mac_lo in
   slot >= 0
   && slot < Array.length env.macs
-  && Base_crypto.Auth.check_digest chain ~sender:env.sender
-       (mac_input ~shard:env.shard (envelope_digest env))
+  && env.shard >= 0
+  && env.shard <= 0xffffffff (* no u32 tag, so it never verifies *)
+  && Base_crypto.Auth.check_digest chain ~sender:env.sender ~suffix:env.shard
+       (Digest.raw (envelope_digest env))
        ~mac:env.macs.(slot)
 
 (* Constant per-constructor tag: what the engine's per-type traffic tables

@@ -43,9 +43,11 @@ let derive chain ~lo ~hi ~epoch_lo ~epoch_hi =
 let session chain peer =
   let lo = min chain.id peer and hi = max chain.id peer in
   let epoch_lo = chain.epochs.(lo) and epoch_hi = chain.epochs.(hi) in
-  match Hashtbl.find_opt chain.cache peer with
-  | Some c when c.ck_epoch_lo = epoch_lo && c.ck_epoch_hi = epoch_hi -> c
-  | Some _ | None ->
+  (* [find] rather than [find_opt]: a cache hit, the hot case, allocates
+     no option. *)
+  match Hashtbl.find chain.cache peer with
+  | c when c.ck_epoch_lo = epoch_lo && c.ck_epoch_hi = epoch_hi -> c
+  | _ | (exception Not_found) ->
     let key = derive chain ~lo ~hi ~epoch_lo ~epoch_hi in
     let c =
       { ck_epoch_lo = epoch_lo; ck_epoch_hi = epoch_hi; ck_key = key; ck_prep = Hmac.prepare ~key }
@@ -54,8 +56,6 @@ let session chain peer =
     c
 
 let session_key chain peer = (session chain peer).ck_key
-
-let epoch chain peer = chain.epochs.(chain.id) + chain.epochs.(peer)
 
 let refresh_keys chains i =
   (* All chains share the epoch array; bumping one slot re-keys principal
@@ -75,12 +75,14 @@ let check chain ~sender msg ~mac = Hmac.verify ~key:(session_key chain sender) m
    each receiver's MAC covers the 32-byte digest, so sealing for 3f+1
    receivers costs one body-sized hash plus n small HMACs — and those small
    HMACs run over precomputed key midstates (2 compressions each) instead of
-   re-deriving the pad blocks per MAC. *)
+   re-deriving the pad blocks per MAC.  [suffix] is passed through to
+   {!Hmac.mac_prepared}. *)
 
-let mac_digest_for chain ~receiver digest = Hmac.mac_prepared (session chain receiver).ck_prep digest
+let mac_digest_for chain ~receiver ~suffix digest =
+  Hmac.mac_prepared (session chain receiver).ck_prep ~suffix digest
 
-let digest_authenticator chain ~n digest =
-  Array.init n (fun receiver -> mac_digest_for chain ~receiver digest)
+let digest_authenticator chain ~n ~suffix digest =
+  Array.init n (fun receiver -> mac_digest_for chain ~receiver ~suffix digest)
 
-let check_digest chain ~sender digest ~mac =
-  Hmac.verify_prepared (session chain sender).ck_prep digest ~tag:mac
+let check_digest chain ~sender ~suffix digest ~mac =
+  Hmac.verify_prepared (session chain sender).ck_prep ~suffix digest ~tag:mac

@@ -23,9 +23,6 @@ val create : seed:int64 -> n_principals:int -> keychain array
     master secret, so creation is O(n_principals) — large simulated client
     populations are cheap to register. *)
 
-val epoch : keychain -> int -> int
-(** Current key epoch between the holder and the given peer. *)
-
 val refresh_keys : keychain array -> int -> unit
 (** [refresh_keys chains i] gives principal [i] fresh session keys with every
     peer (simulating the key exchange performed after a reboot); the peers'
@@ -44,15 +41,18 @@ val check : keychain -> sender:int -> string -> mac:string -> bool
 
     The hot path seals a broadcast by hashing the body once and MACing the
     32-byte digest for every receiver, over precomputed per-session-key
-    HMAC midstates.  [mac_digest_for chain ~receiver d] equals
+    HMAC midstates.  [mac_digest_for chain ~receiver ~suffix:0 d] equals
     [mac_for chain ~receiver d] for every receiver — the equivalence the
     batch-MAC differential suite pins — the batching is in what gets
     MACed (the shared digest) and in the precomputation, not in the tag
-    values. *)
+    values.  A nonzero [suffix] (at most [0xffffffff]) is a
+    domain-separation word MACed after the digest as a big-endian u32:
+    the tag equals [mac_for] of [d] followed by those four bytes. *)
 
-val mac_digest_for : keychain -> receiver:int -> string -> string
+val mac_digest_for : keychain -> receiver:int -> suffix:int -> string -> string
 
-val digest_authenticator : keychain -> n:int -> string -> string array
+val digest_authenticator : keychain -> n:int -> suffix:int -> string -> string array
 (** MAC vector over a digest for receivers [0 .. n-1]. *)
 
-val check_digest : keychain -> sender:int -> string -> mac:string -> bool
+val check_digest : keychain -> sender:int -> suffix:int -> string -> mac:string -> bool
+(** Allocates nothing once the session key is cached. *)

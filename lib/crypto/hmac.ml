@@ -9,47 +9,61 @@ let normalize_key key =
 let xor_pad key pad =
   String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor Char.code pad))
 
-let mac_list ~key msgs =
-  let key = normalize_key key in
-  let ipad = xor_pad key '\x36' in
-  let opad = xor_pad key '\x5c' in
-  let inner = Sha256.digest_list (ipad :: msgs) in
-  Sha256.digest_list [ opad; inner ]
-
-let mac ~key msg = mac_list ~key [ msg ]
-
 (* Precomputed keys: the ipad/opad blocks depend only on the key, so their
-   compression (one SHA-256 block each) can be paid once per session key.
-   [mac_prepared] then costs two midstate clones plus hashing the message
-   and the 32-byte inner digest — for the short digests the batch
-   authenticators MAC, that is 2 compressions instead of 4. *)
-type prepared = { p_inner : Sha256.ctx; p_outer : Sha256.ctx }
+   compression (one SHA-256 block each) is paid once per session key and
+   kept as two 8-word midstates.  [mac_prepared] reloads them into the
+   SHA-256 scratch context and hashes only the message and the 32-byte
+   inner digest — for the short digests the batch authenticators MAC, that
+   is 2 compressions instead of 4, and no allocation but the tag. *)
+type prepared = { inner : Sha256.midstate; outer : Sha256.midstate }
 
 let prepare ~key =
   let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.update inner (xor_pad key '\x36');
-  let outer = Sha256.init () in
-  Sha256.update outer (xor_pad key '\x5c');
-  { p_inner = inner; p_outer = outer }
+  {
+    inner = Sha256.block_midstate (xor_pad key '\x36');
+    outer = Sha256.block_midstate (xor_pad key '\x5c');
+  }
 
-let mac_prepared p msg =
-  let ictx = Sha256.copy p.p_inner in
-  Sha256.update ictx msg;
-  let inner = Sha256.finalize ictx in
-  let octx = Sha256.copy p.p_outer in
-  Sha256.update octx inner;
-  Sha256.finalize octx
+(* Scratch for the suffix word and for a 32-byte digest: the inner one,
+   then, in [verify_prepared], the expected tag.  Single-domain, like the
+   SHA-256 scratch each MAC runs in. *)
+let suffix_word = Bytes.create 4
 
-let equal_ct expected tag =
-  if String.length expected <> String.length tag then false
+let digest_buf = Bytes.create 32
+
+(* H(opad || H(ipad || msg || suffix)), left unfinalised in the SHA-256
+   scratch context. *)
+let outer_ctx p ~suffix msg =
+  Base_util.Invariant.require (suffix >= 0 && suffix <= 0xffffffff) "Hmac: suffix is not a u32";
+  let ctx = Sha256.resume p.inner in
+  Sha256.update ctx msg;
+  if suffix <> 0 then begin
+    Bytes.set_int32_be suffix_word 0 (Int32.of_int suffix);
+    Sha256.update_bytes ctx suffix_word ~pos:0 ~len:4
+  end;
+  Sha256.finalize_into ctx digest_buf;
+  let ctx = Sha256.resume p.outer in
+  Sha256.update_bytes ctx digest_buf ~pos:0 ~len:32;
+  ctx
+
+let mac_prepared p ~suffix msg = Sha256.finalize (outer_ctx p ~suffix msg)
+
+(* Folds over all bytes rather than short-circuiting. *)
+let equal_ct a b =
+  let n = String.length a in
+  if n <> String.length b then false
   else begin
-    (* Fold over all bytes rather than short-circuiting. *)
     let diff = ref 0 in
-    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code tag.[i])) expected;
+    for i = 0 to n - 1 do
+      diff := !diff lor (Char.code (String.unsafe_get a i) lxor Char.code (String.unsafe_get b i))
+    done;
     !diff = 0
   end
 
-let verify_prepared p msg ~tag = equal_ct (mac_prepared p msg) tag
+let verify_prepared p ~suffix msg ~tag =
+  Sha256.finalize_into (outer_ctx p ~suffix msg) digest_buf;
+  equal_ct (Bytes.unsafe_to_string digest_buf) tag
 
-let verify ~key msg ~tag = equal_ct (mac ~key msg) tag
+let mac ~key msg = mac_prepared (prepare ~key) ~suffix:0 msg
+
+let verify ~key msg ~tag = verify_prepared (prepare ~key) ~suffix:0 msg ~tag

@@ -1,6 +1,16 @@
-(* SHA-256 over 32-bit words represented as OCaml ints (63-bit), masked to 32
-   bits after each operation.  The compression function follows FIPS 180-4
-   section 6.2.2 directly. *)
+(* SHA-256 (FIPS 180-4 section 6.2.2) over 32-bit words held in OCaml's
+   63-bit ints.  Every digest and MAC in the system runs through [compress],
+   so the kernel is written to allocate nothing:
+
+   - a rotation reads a *doubled* word, [x lor (x lsl 32)], shifted right:
+     for a 32-bit [x] and a count n <= 31 (all SHA-256 uses), bits n..n+31
+     of the doubled word are [rotr x n], and the 63-bit int holds them all;
+   - the eight working variables are the arguments of the tail-recursive
+     [rounds], so they live in registers instead of eight [ref] cells;
+   - the message schedule is one module-level array, filled and consumed
+     within a single [compress] call;
+   - [finalize] pads in place in the context's block buffer, and the
+     one-shot [digest]/[digest_list] run in a shared scratch context. *)
 
 let k =
   [|
@@ -17,40 +27,88 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 type ctx = {
-  h : int array; (* 8 state words *)
+  h : int array; (* 8 chaining words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes processed *)
-  w : int array; (* message schedule scratch *)
+  mutable total : int; (* bytes hashed so far *)
 }
+
+type midstate = int array
 
 let mask = 0xffffffff
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-        0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0;
-  }
+(* The message schedule.  Shared by every context: [compress] fills it and
+   consumes it before returning, so no two blocks ever hold it at once. *)
+let w = Array.make 64 0
+
+(* Round functions.  A rotation reads the doubled word (see above); [ch]
+   and [maj] are the usual 3- and 4-operation forms of FIPS's expressions. *)
+let[@inline] big_sigma0 a =
+  let a2 = a lor (a lsl 32) in
+  ((a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22)) land mask
+
+let[@inline] big_sigma1 e =
+  let e2 = e lor (e lsl 32) in
+  ((e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25)) land mask
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+
+let[@inline] kw t = Array.unsafe_get k t + Array.unsafe_get w t
 
 (* The inner loops run once per 64 input bytes on every digest and MAC in
    the system, so they use unsafe array/byte accesses; the single bounds
-   check below is the only one per block.  Indices into [w]/[k] are loop
-   constants in [0, 63], and the block slice is checked on entry. *)
-let compress ctx block pos =
+   check in [compress] is the only one per block.  Indices into [w]/[k] are
+   in [0, 63] by construction.
+
+   One call runs eight rounds.  A round turns (a, b, c, d, e, f, g, h) into
+   (T1 + T2, a, b, c, d + T1, e, f, g).  Rather than shifting eight names
+   along, each round below rebinds only two: the new first word takes the
+   name of the word that drops out (h), the new fifth word takes d's.  The
+   roles move one name per round, so after eight rounds every word is back
+   under its starting name. *)
+let rec rounds st t a b c d e f g h =
+  if t = 64 then begin
+    Array.unsafe_set st 0 ((Array.unsafe_get st 0 + a) land mask);
+    Array.unsafe_set st 1 ((Array.unsafe_get st 1 + b) land mask);
+    Array.unsafe_set st 2 ((Array.unsafe_get st 2 + c) land mask);
+    Array.unsafe_set st 3 ((Array.unsafe_get st 3 + d) land mask);
+    Array.unsafe_set st 4 ((Array.unsafe_get st 4 + e) land mask);
+    Array.unsafe_set st 5 ((Array.unsafe_get st 5 + f) land mask);
+    Array.unsafe_set st 6 ((Array.unsafe_get st 6 + g) land mask);
+    Array.unsafe_set st 7 ((Array.unsafe_get st 7 + h) land mask)
+  end
+  else begin
+    let t1 = h + big_sigma1 e + ch e f g + kw t in
+    let d = (d + t1) land mask and h = (t1 + big_sigma0 a + maj a b c) land mask in
+    let t1 = g + big_sigma1 d + ch d e f + kw (t + 1) in
+    let c = (c + t1) land mask and g = (t1 + big_sigma0 h + maj h a b) land mask in
+    let t1 = f + big_sigma1 c + ch c d e + kw (t + 2) in
+    let b = (b + t1) land mask and f = (t1 + big_sigma0 g + maj g h a) land mask in
+    let t1 = e + big_sigma1 b + ch b c d + kw (t + 3) in
+    let a = (a + t1) land mask and e = (t1 + big_sigma0 f + maj f g h) land mask in
+    let t1 = d + big_sigma1 a + ch a b c + kw (t + 4) in
+    let h = (h + t1) land mask and d = (t1 + big_sigma0 e + maj e f g) land mask in
+    let t1 = c + big_sigma1 h + ch h a b + kw (t + 5) in
+    let g = (g + t1) land mask and c = (t1 + big_sigma0 d + maj d e f) land mask in
+    let t1 = b + big_sigma1 g + ch g h a + kw (t + 6) in
+    let f = (f + t1) land mask and b = (t1 + big_sigma0 c + maj c d e) land mask in
+    let t1 = a + big_sigma1 f + ch f g h + kw (t + 7) in
+    let e = (e + t1) land mask and a = (t1 + big_sigma0 b + maj b c d) land mask in
+    rounds st (t + 8) a b c d e f g h
+  end
+
+let compress h block pos =
   Base_util.Invariant.require
     (pos >= 0 && pos + 64 <= Bytes.length block)
     "Sha256.compress: block out of bounds";
-  let w = ctx.w in
   for t = 0 to 15 do
     let j = pos + (4 * t) in
     Array.unsafe_set w t
@@ -61,58 +119,31 @@ let compress ctx block pos =
   done;
   for t = 16 to 63 do
     let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    let d15 = w15 lor (w15 lsl 32) and d2 = w2 lor (w2 lsl 32) in
+    let s0 = (((d15 lsr 7) lxor (d15 lsr 18)) land mask) lxor (w15 lsr 3) in
+    let s1 = (((d2 lsr 17) lxor (d2 lsr 19)) land mask) lxor (w2 lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask in
-    let t1 =
-      (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  rounds h 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
 let update_bytes ctx data ~pos ~len =
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and remaining = ref len in
   (* Fill a partially filled block buffer first. *)
   if ctx.buf_len > 0 then begin
-    let take = min !remaining (64 - ctx.buf_len) in
+    let take = if !remaining < 64 - ctx.buf_len then !remaining else 64 - ctx.buf_len in
     Bytes.blit data !pos ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.h ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while !remaining >= 64 do
-    compress ctx data !pos;
+    compress ctx.h data !pos;
     pos := !pos + 64;
     remaining := !remaining - 64
   done;
@@ -123,53 +154,71 @@ let update_bytes ctx data ~pos ~len =
 
 let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-(* Midstate cloning: lets a fixed prefix (e.g. an HMAC key pad block) be
-   compressed once and reused for every message hashed under it.  The
-   scratch schedule [w] is per-use state, so the copy gets its own. *)
-let copy ctx =
-  {
-    h = Array.copy ctx.h;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total = ctx.total;
-    w = Array.make 64 0;
-  }
+(* Padding, in place: 0x80, zeros, the 64-bit big-endian bit length — in
+   one block, or two when fewer than 9 bytes of the last one are free. *)
+let pad ctx =
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx.h buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  let bits = ctx.total lsl 3 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set buf (56 + i) (Char.unsafe_chr ((bits lsr (8 * (7 - i))) land 0xff))
+  done;
+  compress ctx.h buf 0;
+  ctx.buf_len <- 0
+
+let finalize_into ctx out =
+  Base_util.Invariant.require (Bytes.length out >= 32) "Sha256.finalize_into: output too short";
+  pad ctx;
+  for i = 0 to 7 do
+    let v = Array.unsafe_get ctx.h i and j = 4 * i in
+    Bytes.unsafe_set out j (Char.unsafe_chr (v lsr 24));
+    Bytes.unsafe_set out (j + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.unsafe_set out (j + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.unsafe_set out (j + 3) (Char.unsafe_chr (v land 0xff))
+  done
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = Int64.to_int (Int64.rem ctx.total 64L) in
-    if rem < 56 then 56 - rem else 120 - rem
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * (7 - i))) 0xffL)))
-  done;
-  (* Bypass the total counter: padding is not message data. *)
-  let saved = ctx.total in
-  update_bytes ctx pad ~pos:0 ~len:(Bytes.length pad);
-  ctx.total <- saved;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  finalize_into ctx out;
   Bytes.unsafe_to_string out
 
+(* The shared context behind the one-shot digests and [resume]. *)
+let scratch = init ()
+
+let restart state ~total =
+  Array.blit state 0 scratch.h 0 8;
+  scratch.buf_len <- 0;
+  scratch.total <- total;
+  scratch
+
 let digest s =
-  let ctx = init () in
+  let ctx = restart iv ~total:0 in
   update ctx s;
   finalize ctx
 
+let rec update_all ctx = function
+  | [] -> ()
+  | s :: rest ->
+    update ctx s;
+    update_all ctx rest
+
 let digest_list ss =
-  let ctx = init () in
-  List.iter (update ctx) ss;
+  let ctx = restart iv ~total:0 in
+  update_all ctx ss;
   finalize ctx
+
+let block_midstate block =
+  Base_util.Invariant.require (String.length block = 64) "Sha256.block_midstate: not one block";
+  let h = Array.copy iv in
+  compress h (Bytes.unsafe_of_string block) 0;
+  h
+
+let resume m = restart m ~total:64
 
 let hex s = Base_util.Hex.encode (digest s)

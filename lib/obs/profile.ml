@@ -1,8 +1,8 @@
 (* Hot-path profiling probes.
 
    A probe accumulates three things per named code region: entry count,
-   bytes allocated (from [Gc.allocated_bytes] deltas), and elapsed time
-   from an *injected* nanosecond clock.  The clock is a constructor
+   words allocated (exactly, see [major_direct]), and elapsed time from
+   an *injected* nanosecond clock.  The clock is a constructor
    argument rather than an ambient read so this module stays inside the
    determinism discipline: the library never touches a wall clock, the
    caller (the benchmark binary) decides what "now" means.  A disabled
@@ -19,10 +19,10 @@ type probe = {
   name : string;
   mutable calls : int;
   mutable ns : int64;
-  mutable alloc_b : float;
+  mutable alloc_w : int;
   mutable depth : int;  (* re-entrant sections count outermost spans only *)
   mutable t0 : int64;
-  mutable a0 : float;
+  mutable w0 : int;
 }
 
 type t = {
@@ -45,18 +45,30 @@ let probe t name =
   match List.find_opt (fun p -> String.equal p.name name) t.probes with
   | Some p -> p
   | None ->
-    let p = { name; calls = 0; ns = 0L; alloc_b = 0.0; depth = 0; t0 = 0L; a0 = 0.0 } in
+    let p = { name; calls = 0; ns = 0L; alloc_w = 0; depth = 0; t0 = 0L; w0 = 0 } in
     t.probes <- t.probes @ [ p ];
     p
 
 let probe_calls p = p.calls
+
+(* Words allocated so far are minor-heap words, which [Gc.minor_words]
+   counts exactly, plus words allocated directly in the major heap.  Unlike
+   [Gc.allocated_bytes] this does not move with when minor collections
+   happen, so it repeats exactly for a repeated code path.  Reading
+   [Gc.minor_words] allocates nothing, but the clock and [Gc.counters] do,
+   so [start] reads them before the minor words and [stop] after: the
+   probe's own allocation never counts. *)
+let major_direct () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
 
 let start t p =
   if t.on then begin
     p.depth <- p.depth + 1;
     if p.depth = 1 then begin
       p.t0 <- t.now_ns ();
-      p.a0 <- Gc.allocated_bytes ()
+      let direct = major_direct () in
+      p.w0 <- int_of_float (Gc.minor_words () +. direct)
     end
   end
 
@@ -64,9 +76,10 @@ let stop t p =
   if t.on && p.depth > 0 then begin
     p.depth <- p.depth - 1;
     if p.depth = 0 then begin
+      let minor = Gc.minor_words () in
+      p.alloc_w <- p.alloc_w + int_of_float (minor +. major_direct ()) - p.w0;
       p.calls <- p.calls + 1;
-      p.ns <- Int64.add p.ns (Int64.sub (t.now_ns ()) p.t0);
-      p.alloc_b <- p.alloc_b +. (Gc.allocated_bytes () -. p.a0)
+      p.ns <- Int64.add p.ns (Int64.sub (t.now_ns ()) p.t0)
     end
   end
 
@@ -85,9 +98,11 @@ let reset t =
     (fun p ->
       p.calls <- 0;
       p.ns <- 0L;
-      p.alloc_b <- 0.0;
+      p.alloc_w <- 0;
       p.depth <- 0)
     t.probes
+
+let alloc_bytes p = p.alloc_w * (Sys.word_size / 8)
 
 let sorted t = List.sort (fun a b -> String.compare a.name b.name) t.probes
 
@@ -96,7 +111,7 @@ let to_json ?(deterministic = true) t =
     (List.map
        (fun p ->
          let fields =
-           [ ("calls", Json.Int p.calls); ("alloc_bytes", Json.Int (int_of_float p.alloc_b)) ]
+           [ ("calls", Json.Int p.calls); ("alloc_bytes", Json.Int (alloc_bytes p)) ]
          in
          let fields =
            if deterministic then fields
@@ -113,7 +128,7 @@ let pp ppf t =
   List.iter
     (fun p ->
       let ns = Int64.to_float p.ns in
-      Format.fprintf ppf "%-28s %12d %14.0f %12.2f %7.1f%%@." p.name p.calls p.alloc_b
+      Format.fprintf ppf "%-28s %12d %14d %12.2f %7.1f%%@." p.name p.calls (alloc_bytes p)
         (ns /. 1e6)
         (if total_ns > 0.0 then 100.0 *. ns /. total_ns else 0.0))
     (sorted t)

@@ -1,8 +1,9 @@
 (** Hot-path profiling probes: per-phase call counts, allocation, and time.
 
     A {!probe} brackets a named code region.  Each outermost
-    {!start}/{!stop} pair accumulates one call, the [Gc.allocated_bytes]
-    delta, and the elapsed time read from the clock injected at
+    {!start}/{!stop} pair accumulates one call, the words allocated in
+    between (minor-heap words plus words allocated directly in the major
+    heap, exact and excluding the probe's own reads), and the elapsed time read from the clock injected at
     {!create} — the library itself never reads ambient time, which keeps
     the determinism lint (D2) and the byte-reproducible benchmark exports
     honest.  A disabled profile (the default, and the shared {!disabled}

@@ -36,15 +36,15 @@ let mac_digest_equivalence =
     (fun (msg, (sender, receiver)) ->
       let digest = Sha256.digest msg in
       String.equal
-        (Auth.mac_digest_for chains.(sender) ~receiver digest)
+        (Auth.mac_digest_for chains.(sender) ~receiver ~suffix:0 digest)
         (Auth.mac_for chains.(sender) ~receiver digest)
-      && Auth.check_digest chains.(receiver) ~sender digest
-           ~mac:(Auth.mac_digest_for chains.(sender) ~receiver digest))
+      && Auth.check_digest chains.(receiver) ~sender ~suffix:0 digest
+           ~mac:(Auth.mac_digest_for chains.(sender) ~receiver ~suffix:0 digest))
 
 let authenticator_equivalence =
   qtest "digest_authenticator = per-receiver mac_for vector" Gen.string (fun msg ->
       let digest = Sha256.digest msg in
-      let batched = Auth.digest_authenticator chains.(3) ~n:8 digest in
+      let batched = Auth.digest_authenticator chains.(3) ~n:8 ~suffix:0 digest in
       let naive = Array.init 8 (fun receiver -> Auth.mac_for chains.(3) ~receiver digest) in
       batched = naive)
 
@@ -56,8 +56,8 @@ let prepared_hmac_equivalence =
     (Gen.pair (Gen.string_size (Gen.int_bound 200)) Gen.string)
     (fun (key, msg) ->
       let prep = Hmac.prepare ~key in
-      String.equal (Hmac.mac_prepared prep msg) (Hmac.mac ~key msg)
-      && Hmac.verify_prepared prep msg ~tag:(Hmac.mac ~key msg))
+      String.equal (Hmac.mac_prepared prep ~suffix:0 msg) (Hmac.mac ~key msg)
+      && Hmac.verify_prepared prep ~suffix:0 msg ~tag:(Hmac.mac ~key msg))
 
 (* End-to-end tamper: corrupt every protocol message on the primary->backup
    link (single-byte wire flips via the runtime's corruption model) and let
@@ -111,6 +111,24 @@ let test_unicast_tamper_rejected () =
         (M.verify chains.(6) ~receiver:6 adopted)
   done
 
+(* Shard replay: an envelope sealed for shard 1 must not verify when it is
+   presented as belonging to any other shard — in particular not to the
+   shards whose id agrees with 1 in the low byte or low half-word, which a
+   one-byte tag used to alias. *)
+let test_shard_replay_rejected () =
+  let body =
+    M.Prepare { view = 0; seq = 9; digest = Base_crypto.Digest_t.of_string "b"; replica = 0 }
+  in
+  let env = M.seal chains.(0) ~shard:1 ~sender:0 ~n_receivers:4 body in
+  Alcotest.(check bool) "verifies on its own shard" true (M.verify chains.(2) ~receiver:2 env);
+  List.iter
+    (fun shard ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replayed as shard %d: rejected" shard)
+        false
+        (M.verify chains.(2) ~receiver:2 { env with M.shard }))
+    [ 0; 2; 257; 65_537; 0x1_0000_0001; -1 ]
+
 let suite =
   [
     mac_digest_equivalence;
@@ -120,4 +138,6 @@ let suite =
       test_corrupted_wire_counted_and_masked;
     Alcotest.test_case "unicast reply: any byte flip rejected" `Quick
       test_unicast_tamper_rejected;
+    Alcotest.test_case "shard-1 envelope rejected as shard 2, 257, 65537" `Quick
+      test_shard_replay_rejected;
   ]

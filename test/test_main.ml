@@ -14,6 +14,7 @@ let () =
       ("bft-wire", Test_bft_wire.suite);
       ("digest-memo", Test_digest_memo.suite);
       ("mac-equiv", Test_mac_equiv.suite);
+      ("sha256-diff", Test_sha256_diff.suite);
       ("event-heap", Test_event_heap.suite);
       ("byzantine-input", Test_byzantine_input.suite @ Test_fuzz_decode.suite);
       ("determinism", Test_determinism.suite);

@@ -154,6 +154,38 @@ let test_runtime_phase_metrics () =
   Alcotest.(check bool) "phase latencies recorded" true (Metrics.hist_count h > 0);
   Alcotest.(check bool) "positive mean" true (Metrics.hist_mean h > 0.0)
 
+(* Probe allocation is exact: a span that allocates nothing records 0
+   bytes, even though the probe's clock and GC reads allocate; a small
+   block counts its header and fields; a block too big for the minor heap
+   (allocated directly in the major heap) counts too. *)
+let test_profile_alloc_exact () =
+  let module Profile = Base_obs.Profile in
+  let clock = ref 0L in
+  let now_ns () =
+    clock := Int64.add !clock 1L;
+    !clock
+  in
+  let p = Profile.create ~now_ns () in
+  Profile.enable p;
+  let run name f =
+    let probe = Profile.probe p name in
+    for _ = 1 to 3 do
+      Profile.start p probe;
+      ignore (Sys.opaque_identity (f ()));
+      Profile.stop p probe
+    done
+  in
+  run "empty" (fun () -> [||]);
+  run "small" (fun () -> Array.make 10 0);
+  run "major" (fun () -> Array.make 1000 0);
+  let entry calls words =
+    Json.obj [ ("alloc_bytes", Json.Int (words * (Sys.word_size / 8))); ("calls", Json.Int calls) ]
+  in
+  Alcotest.(check string) "alloc bytes per probe"
+    (Json.to_string
+       (Json.obj [ ("empty", entry 3 0); ("major", entry 3 (3 * 1001)); ("small", entry 3 (3 * 11)) ]))
+    (Json.to_string (Profile.to_json p))
+
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
@@ -166,4 +198,5 @@ let suite =
     Alcotest.test_case "trace honours its limit" `Quick test_trace_limit;
     Alcotest.test_case "same-seed runs trace identically" `Quick test_trace_determinism;
     Alcotest.test_case "replica phases reach the registry" `Quick test_runtime_phase_metrics;
+    Alcotest.test_case "profile allocation is exact" `Quick test_profile_alloc_exact;
   ]
