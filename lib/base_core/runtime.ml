@@ -251,13 +251,10 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
              fun ~client ~timestamp ~operation ->
                Xshard.ready (the ()).xshard ~rid ~shard ~client ~timestamp ~operation);
         take_checkpoint =
-          (fun ~seq ->
+          (fun ~seq ~client_rows ->
             match !knot with
-            | Some t ->
-              let node = cell t ~shard rid in
-              Objrepo.take_checkpoint node.repo ~seq
-                ~client_rows:(Replica.export_client_table node.replica)
-            | None -> Objrepo.take_checkpoint repo ~seq ~client_rows:[]);
+            | Some t -> Objrepo.take_checkpoint (cell t ~shard rid).repo ~seq ~client_rows
+            | None -> Objrepo.take_checkpoint repo ~seq ~client_rows);
         discard_checkpoints_below =
           (fun seq ->
             match !knot with

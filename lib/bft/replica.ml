@@ -13,7 +13,7 @@ type app = {
   propose_nondet : operation:string -> string;
   check_nondet : operation:string -> nondet:string -> bool;
   ready : client:int -> timestamp:int64 -> operation:string -> bool;
-  take_checkpoint : seq:Types.seqno -> Digest.t;
+  take_checkpoint : seq:Types.seqno -> client_rows:(int * int64 * string) list -> Digest.t;
   discard_checkpoints_below : Types.seqno -> unit;
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
 }
@@ -90,13 +90,18 @@ let make_obs ?(suffix = "") metrics =
     last_cp = -1L;
   }
 
-(* Per-sequence-number log slot.  The prepare/commit tables are keyed by
-   replica id; certificates are counted over matching digests.  The [t_*]
-   fields are local phase timestamps (-1 = milestone not reached). *)
+(* A vote table: slot [r] holds replica [r]'s digest, [None] until it
+   votes.  Only active replicas ([0 .. n-1]) vote, so the handlers bound
+   every sender before indexing. *)
+type votes = Digest.t option array
+
+(* Per-sequence-number log slot.  Certificates are counted over matching
+   digests in the prepare/commit vote tables.  The [t_*] fields are local
+   phase timestamps (-1 = milestone not reached). *)
 type entry = {
   mutable pre_prepare : M.pre_prepare option;
-  prepares : (int, Digest.t) Hashtbl.t;
-  commits : (int, Digest.t) Hashtbl.t;
+  prepares : votes;
+  commits : votes;
   mutable sent_commit : bool;
   mutable committed : bool;
   mutable prepared_proof : M.prepared_proof option;
@@ -127,7 +132,8 @@ type t = {
   mutable status : status;
   entries : (Types.seqno, entry) Hashtbl.t;
   clients : (int, client_rec) Hashtbl.t;
-  cp_msgs : (Types.seqno, (int, Digest.t) Hashtbl.t) Hashtbl.t;
+  mutable n_pending : int;  (* records in [clients] whose [pending] is set *)
+  cp_msgs : (Types.seqno, votes) Hashtbl.t;
   own_cps : (Types.seqno, Digest.t) Hashtbl.t;
   mutable h : Types.seqno;  (* low watermark = last stable checkpoint *)
   mutable stable_digest : Digest.t;
@@ -159,11 +165,11 @@ type t = {
   p_exec : Base_obs.Profile.probe;  (* application execute calls *)
 }
 
-let fresh_entry () =
+let fresh_entry n =
   {
     pre_prepare = None;
-    prepares = Hashtbl.create 8;
-    commits = Hashtbl.create 8;
+    prepares = Array.make n None;
+    commits = Array.make n None;
     sent_commit = false;
     committed = false;
     prepared_proof = None;
@@ -189,7 +195,7 @@ let get_entry t seq =
   match Hashtbl.find_opt t.entries seq with
   | Some e -> e
   | None ->
-    let e = fresh_entry () in
+    let e = fresh_entry t.config.n in
     Hashtbl.replace t.entries seq e;
     e
 
@@ -210,13 +216,31 @@ let client_rec t c =
     Hashtbl.replace t.clients c r;
     r
 
+(* Every write to [client_rec.pending] goes through here, so [n_pending]
+   answers "is any client waiting?" without scanning the table. *)
+let set_pending t cr p =
+  (match (cr.pending, p) with
+  | None, Some _ -> t.n_pending <- t.n_pending + 1
+  | Some _, None -> t.n_pending <- t.n_pending - 1
+  | Some _, Some _ | None, None -> ());
+  cr.pending <- p
+
 (* Deterministic traversal of an int-keyed table: snapshot the bindings and
-   sort by key.  Every table scan below goes through this, so certificate
-   counting, retransmission order, and wire-visible new-view summaries are
-   independent of hash-table iteration order. *)
+   sort by key.  Every table scan below goes through this, so retransmission
+   order and wire-visible new-view summaries are independent of hash-table
+   iteration order.  It allocates the whole table, so the per-message paths
+   avoid it: vote tables are arrays and the pending count is kept live. *)
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* A well-formed, authenticated message whose claims the protocol cannot
+   accept. *)
+let reject_insane t =
+  t.stats.rejected_insane <- t.stats.rejected_insane + 1;
+  Base_obs.Metrics.incr t.obs.c_reject_insane
+
+let clear_votes (votes : votes) = Array.fill votes 0 (Array.length votes) None
 
 (* --- digests ------------------------------------------------------------ *)
 
@@ -227,21 +251,16 @@ let sorted_bindings tbl =
    primary per proposal and at every backup per PRE-PREPARE acceptance. *)
 let ordering_digest requests nondet = Digest.of_string (M.encode_batch requests ~nondet)
 
-(* Client ids are unique within the table, so the id alone orders rows; the
-   full comparison keeps the digest well-defined on arbitrary row lists. *)
-let compare_client_row (c1, ts1, res1) (c2, ts2, res2) =
-  match Int.compare c1 c2 with
-  | 0 -> ( match Int64.compare ts1 ts2 with 0 -> String.compare res1 res2 | c -> c)
-  | c -> c
-
-let client_rows_of_table clients =
+(* The last-reply table as [(client, timestamp, result)] rows.  Client ids
+   are unique, so the key order of [sorted_bindings] is already the rows'
+   total order. *)
+let client_rows t =
   List.filter_map
     (fun (c, (r : client_rec)) ->
       match r.last_reply with
       | Some rep -> Some (c, r.last_ts, rep.result)
       | None -> None)
-    (sorted_bindings clients)
-  |> List.sort compare_client_row
+    (sorted_bindings t.clients)
 
 let digest_of_rows rows =
   let e = Base_codec.Xdr.encoder () in
@@ -253,12 +272,15 @@ let digest_of_rows rows =
     rows;
   Digest.of_string (Base_codec.Xdr.contents e)
 
-let client_table_digest t = digest_of_rows (client_rows_of_table t.clients)
-
 let checkpoint_digest ~app_digest ~client_digest =
   Digest.combine [ app_digest; client_digest ]
 
-let export_client_table t = client_rows_of_table t.clients
+(* One checkpoint: the application records its state together with the
+   client rows, and the combined digest binds both. *)
+let checkpoint_now t ~seq =
+  let client_rows = client_rows t in
+  let app_digest = t.app.take_checkpoint ~seq ~client_rows in
+  checkpoint_digest ~app_digest ~client_digest:(digest_of_rows client_rows)
 
 (* --- sending ------------------------------------------------------------ *)
 
@@ -318,9 +340,7 @@ let send_reply t (reply : M.reply) =
 
 (* --- timers ------------------------------------------------------------- *)
 
-let has_pending t =
-  t.external_pending > 0
-  || List.exists (fun (_, r) -> r.pending <> None) (sorted_bindings t.clients)
+let has_pending t = t.external_pending > 0 || t.n_pending > 0
 
 let cancel_vc_timer t =
   match t.vc_timer with
@@ -344,14 +364,19 @@ let cp_table t seq =
   match Hashtbl.find_opt t.cp_msgs seq with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 8 in
+    let tbl = Array.make t.config.n None in
     Hashtbl.replace t.cp_msgs seq tbl;
     tbl
 
-let count_matching tbl digest =
-  List.fold_left
-    (fun acc (_, d) -> if Digest.equal d digest then acc + 1 else acc)
-    0 (sorted_bindings tbl)
+(* Votes for [digest], leaving out replica [except] (-1 leaves out none). *)
+let count_matching ~except (votes : votes) digest =
+  let count = ref 0 in
+  for r = 0 to Array.length votes - 1 do
+    match votes.(r) with
+    | Some d when r <> except && Digest.equal d digest -> incr count
+    | Some _ | None -> ()
+  done;
+  !count
 
 let discard_log_below t seq =
   let stale_keys tbl below =
@@ -376,13 +401,12 @@ and maybe_stable t seq =
   match Hashtbl.find_opt t.own_cps seq with
   | None -> ()
   | Some own ->
-    if seq > t.h && count_matching (cp_table t seq) own + 1 >= Types.quorum t.config then
-      make_stable t seq own
+    if seq > t.h && count_matching ~except:(-1) (cp_table t seq) own + 1 >= Types.quorum t.config
+    then make_stable t seq own
 
 and take_checkpoint t =
   let seq = t.last_exec in
-  let app_digest = t.app.take_checkpoint ~seq in
-  let d = checkpoint_digest ~app_digest ~client_digest:(client_table_digest t) in
+  let d = checkpoint_now t ~seq in
   Hashtbl.replace t.own_cps seq d;
   t.stats.checkpoints_taken <- t.stats.checkpoints_taken + 1;
   observe_span t.obs.m_cp_interval ~since:t.obs.last_cp ~until:(now t);
@@ -432,13 +456,13 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
           in
           cr.last_reply <- Some reply;
           (match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> cr.pending <- None
+          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
           | Some _ | None -> ());
           send_reply t reply
         end
         else begin
           match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> cr.pending <- None
+          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
           | Some _ | None -> ()
         end
       end
@@ -497,7 +521,7 @@ and try_execute t =
 and maybe_committed t _seq entry =
   match entry.pre_prepare with
   | Some pp when entry.prepared_proof <> None && not entry.committed ->
-    if count_matching entry.commits pp.digest >= Types.quorum t.config then begin
+    if count_matching ~except:(-1) entry.commits pp.digest >= Types.quorum t.config then begin
       entry.committed <- true;
       entry.t_committed <- now t;
       observe_span t.obs.m_commit ~since:entry.t_prepared ~until:entry.t_committed;
@@ -508,12 +532,7 @@ and maybe_committed t _seq entry =
 and maybe_prepared t seq entry =
   match entry.pre_prepare with
   | Some pp ->
-    let primary = primary_of t pp.view in
-    let count =
-      List.fold_left
-        (fun acc (r, d) -> if r <> primary && Digest.equal d pp.digest then acc + 1 else acc)
-        0 (sorted_bindings entry.prepares)
-    in
+    let count = count_matching ~except:(primary_of t pp.view) entry.prepares pp.digest in
     if count >= 2 * t.config.f && entry.prepared_proof = None then begin
       entry.prepared_proof <-
         Some
@@ -528,7 +547,7 @@ and maybe_prepared t seq entry =
       observe_span t.obs.m_prepare ~since:entry.t_pp ~until:entry.t_prepared;
       if not entry.sent_commit then begin
         entry.sent_commit <- true;
-        Hashtbl.replace entry.commits t.id pp.digest;
+        entry.commits.(t.id) <- Some pp.digest;
         broadcast t (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
       end;
       maybe_committed t seq entry
@@ -656,7 +675,7 @@ let handle_request t env (r : M.request) =
       | Some p when p.timestamp >= r.timestamp -> ()
       | Some _ | None ->
         if cr.pending = None then cr.pending_since <- now t;
-        cr.pending <- Some r);
+        set_pending t cr (Some r));
       if t.status = Normal then begin
         if is_primary t then propose t r
         else begin
@@ -687,8 +706,8 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     (match entry.pre_prepare with
     | Some existing when existing.view < pp.view && not entry.committed ->
       entry.pre_prepare <- None;
-      Hashtbl.reset entry.prepares;
-      Hashtbl.reset entry.commits;
+      clear_votes entry.prepares;
+      clear_votes entry.commits;
       entry.sent_commit <- false;
       entry.prepared_proof <- None;
       entry.t_pp <- -1L;
@@ -726,23 +745,24 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
             end;
             match cr.pending with
             | Some p when p.timestamp >= r.timestamp -> ()
-            | Some _ | None -> if r.timestamp > cr.last_ts then cr.pending <- Some r
+            | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
           end)
         pp.requests;
       start_vc_timer t;
-      Hashtbl.replace entry.prepares t.id pp.digest;
+      entry.prepares.(t.id) <- Some pp.digest;
       broadcast t (M.Prepare { view = pp.view; seq = pp.seq; digest = pp.digest; replica = t.id });
       maybe_prepared t pp.seq entry
     end
   end
 
 let handle_prepare t sender (p : M.prepare) =
-  if
+  if not (Types.is_replica t.config sender) then reject_insane t
+  else if
     sender = p.replica && p.view = t.view && t.status = Normal && in_window t p.seq
     && sender <> primary_of t p.view
   then begin
     let entry = get_entry t p.seq in
-    if not (Hashtbl.mem entry.prepares sender) then begin
+    if Option.is_none entry.prepares.(sender) then begin
       (match entry.pre_prepare with
       | Some accepted
         when accepted.view = p.view && not (Digest.equal accepted.digest p.digest) ->
@@ -750,38 +770,39 @@ let handle_prepare t sender (p : M.prepare) =
            must have seen a conflicting pre-prepare from the primary. *)
         Base_obs.Metrics.incr t.obs.c_equivocation
       | Some _ | None -> ());
-      Hashtbl.replace entry.prepares sender p.digest;
+      entry.prepares.(sender) <- Some p.digest;
       maybe_prepared t p.seq entry
     end
   end
 
 let handle_commit t sender (c : M.commit) =
-  if sender = c.replica && c.view <= t.view && in_window t c.seq then begin
+  if not (Types.is_replica t.config sender) then reject_insane t
+  else if sender = c.replica && c.view <= t.view && in_window t c.seq then begin
     let entry = get_entry t c.seq in
-    if not (Hashtbl.mem entry.commits sender) then begin
-      Hashtbl.replace entry.commits sender c.digest;
+    if Option.is_none entry.commits.(sender) then begin
+      entry.commits.(sender) <- Some c.digest;
       maybe_prepared t c.seq entry
     end
   end
 
 (* --- checkpoints and state transfer ------------------------------------- *)
 
+(* The first digest, in replica-id order, voted by at least [weak]
+   replicas. *)
+let rec certified (votes : votes) ~weak r =
+  if r >= Array.length votes then None
+  else
+    match votes.(r) with
+    | Some d as v when count_matching ~except:(-1) votes d >= weak -> v
+    | Some _ | None -> certified votes ~weak (r + 1)
+
 let fetch_target t =
   let weak = Types.weak_quorum t.config in
   List.fold_left
-    (fun best (seq, tbl) ->
+    (fun best (seq, votes) ->
       if seq < t.h then best
       else begin
-        (* Find a digest with >= f+1 votes at this seqno. *)
-        let certified =
-          List.fold_left
-            (fun acc (_, d) ->
-              match acc with
-              | Some _ -> acc
-              | None -> if count_matching tbl d >= weak then Some d else None)
-            None (sorted_bindings tbl)
-        in
-        match (certified, best) with
+        match (certified votes ~weak 0, best) with
         | Some d, None -> Some (seq, d)
         | Some d, Some (bs, _) when seq > bs -> Some (seq, d)
         | _ -> best
@@ -814,9 +835,9 @@ let handle_checkpoint t sender (c : M.checkpoint) =
   (* Only votes from active replicas count: a checkpoint certificate built
      from f+1 of them always contains a correct replica, which would not
      hold if clients (or standbys) could stuff the table. *)
-  if sender = c.replica && Types.is_replica t.config sender && c.seq > t.h then begin
-    let tbl = cp_table t c.seq in
-    Hashtbl.replace tbl sender c.digest;
+  if not (Types.is_replica t.config sender) then reject_insane t
+  else if sender = c.replica && c.seq > t.h then begin
+    (cp_table t c.seq).(sender) <- Some c.digest;
     if t.role = Active then begin
       maybe_stable t c.seq;
       maybe_fetch_check t ~stalled:false
@@ -839,6 +860,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   | Some _ | None -> ());
   (* Install the transferred last-reply table. *)
   Hashtbl.reset t.clients;
+  t.n_pending <- 0;
   List.iter
     (fun (c, ts, result) ->
       let cr = client_rec t c in
@@ -988,12 +1010,12 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
       if not entry.committed then begin
         entry.pre_prepare <- Some pp;
         entry.t_pp <- now t;
-        Hashtbl.reset entry.prepares;
-        if not entry.sent_commit then Hashtbl.reset entry.commits;
+        clear_votes entry.prepares;
+        if not entry.sent_commit then clear_votes entry.commits;
         entry.prepared_proof <- None;
         entry.sent_commit <- false;
         if not (is_primary t) then begin
-          Hashtbl.replace entry.prepares t.id pp.digest;
+          entry.prepares.(t.id) <- Some pp.digest;
           broadcast t
             (M.Prepare { view = v'; seq = pp.seq; digest = pp.digest; replica = t.id })
         end
@@ -1055,10 +1077,7 @@ let vc_sane t (vc : M.view_change) =
        vc.prepared
 
 let handle_view_change t sender (vc : M.view_change) =
-  if not (vc_sane t vc) then begin
-    t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_insane
-  end
+  if not (vc_sane t vc) then reject_insane t
   else if sender = vc.replica && vc.new_view > 0 then begin
     Hashtbl.replace (vc_table t vc.new_view) sender vc;
     (* Liveness rule: join the smallest view for which f+1 replicas already
@@ -1110,10 +1129,7 @@ let handle_new_view t sender (nv : M.new_view) =
     in
     let verifiable = List.length vcs_used = List.length nv.nv_view_changes in
     let sane = nv_sane t nv in
-    if not sane then begin
-      t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-      Base_obs.Metrics.incr t.obs.c_reject_insane
-    end;
+    if not sane then reject_insane t;
     let ok =
       if not sane then false
       else if not verifiable then List.length nv.nv_view_changes >= Types.quorum t.config
@@ -1161,7 +1177,7 @@ let on_status_timer t =
           match entry.pre_prepare with
           | Some pp when pp.view = t.view ->
             if is_primary t then broadcast t (M.Pre_prepare pp)
-            else if Hashtbl.mem entry.prepares t.id then
+            else if Option.is_some entry.prepares.(t.id) then
               broadcast t
                 (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
             if entry.sent_commit then
@@ -1266,7 +1282,7 @@ let handle_status t sender (st : M.status_msg) =
         | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
           if primary_of t pp.view = t.id then
             send_one t ~dst:sender (M.Pre_prepare pp)
-          else if Hashtbl.mem entry.prepares t.id then
+          else if Option.is_some entry.prepares.(t.id) then
             send_one t ~dst:sender
               (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
           if entry.sent_commit then
@@ -1310,13 +1326,11 @@ let receive t (env : M.envelope) =
     t.stats.rejected_macs <- t.stats.rejected_macs + 1;
     Base_obs.Metrics.incr t.obs.c_reject_mac
   end
-  else if env.shard <> t.shard then begin
+  else if env.shard <> t.shard then
     (* The MAC binds the shard tag, so this is a well-authenticated message
        for a different agreement instance — mis-routed, not forged.  It is
        meaningless here (seqnos and views are per-shard namespaces). *)
-    t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_insane
-  end
+    reject_insane t
   else begin
     Base_obs.Profile.start t.prof t.p_handle;
     (if t.role = Standby then begin
@@ -1372,6 +1386,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       status = Normal;
       entries = Hashtbl.create 64;
       clients = Hashtbl.create 16;
+      n_pending = 0;
       cp_msgs = Hashtbl.create 16;
       own_cps = Hashtbl.create 16;
       h = 0;
@@ -1411,8 +1426,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
     }
   in
   (* Initial checkpoint at seqno 0 so watermark logic is uniform. *)
-  let app_digest = app.take_checkpoint ~seq:0 in
-  let d = checkpoint_digest ~app_digest ~client_digest:(client_table_digest t) in
+  let d = checkpoint_now t ~seq:0 in
   Hashtbl.replace t.own_cps 0 d;
   t.stable_digest <- d;
   t

@@ -38,9 +38,11 @@ type app = {
           uses the {e first} [false] answer on a lock request as the
           deterministic lock-acquisition event.  Use {!always_ready} when the
           service needs no gating. *)
-  take_checkpoint : seq:Types.seqno -> Digest.t;
-      (** Record a checkpoint of the abstract state at [seq] and return its
-          digest. *)
+  take_checkpoint : seq:Types.seqno -> client_rows:(int * int64 * string) list -> Digest.t;
+      (** Record a checkpoint of the abstract state at [seq], together with
+          the replica's last-reply table as [(client, timestamp, result)]
+          rows sorted by client (transferred alongside abstract objects
+          during state transfer), and return the state's digest. *)
   discard_checkpoints_below : Types.seqno -> unit;
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
       (** Bring the service to the certified checkpoint [(seq, digest)]
@@ -92,7 +94,9 @@ type stats = {
   mutable rejected_insane : int;
       (** well-formed, authenticated messages whose claims are
           protocol-implausible (e.g. prepared proofs outside the log
-          window above the claimed checkpoint) *)
+          window above the claimed checkpoint, or a PREPARE, COMMIT or
+          CHECKPOINT vote from a principal that is not an active
+          replica) *)
 }
 
 type t
@@ -169,16 +173,9 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
 
 val on_timer : t -> tag:string -> payload:int -> unit
 
-val client_table_digest : t -> Digest.t
-(** Digest of the last-reply table; part of every checkpoint digest. *)
-
 val checkpoint_digest : app_digest:Digest.t -> client_digest:Digest.t -> Digest.t
 (** The combined digest bound by CHECKPOINT messages:
     [combine [app; client]]. *)
-
-val export_client_table : t -> (int * int64 * string) list
-(** [(client, timestamp, result)] rows, sorted by client; transferred
-    alongside abstract objects during state transfer. *)
 
 val fetch_complete :
   t -> seq:Types.seqno -> app_digest:Digest.t -> client_rows:(int * int64 * string) list -> unit

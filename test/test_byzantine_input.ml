@@ -46,9 +46,35 @@ let test_wellformed_body_bad_mac () =
   Alcotest.(check int) "mac metrics counter agrees" 1
     (Metrics.counter_value (Metrics.counter (Runtime.metrics sys) "bft.reject.mac"))
 
+(* Only active replicas vote.  A backup holding the primary's PRE-PREPARE
+   receives PREPARE, COMMIT and CHECKPOINT votes that two clients sealed in
+   their own names: every MAC is valid, but clients hold no vote, so
+   nothing executes and each forged vote is counted as insane.  The honest
+   backups' votes then complete the slot as usual. *)
+let test_client_votes_rejected () =
+  let module L = Lone_replica in
+  let b = L.create ~id:1 in
+  let pp = L.pre_prepare ~seq:1 [ L.request ~client:4 1L ] in
+  L.deliver b ~sender:0 (M.Pre_prepare pp);
+  List.iter
+    (fun c ->
+      L.deliver b ~sender:c (M.Prepare { view = 0; seq = 1; digest = pp.digest; replica = c });
+      L.deliver b ~sender:c (M.Commit { view = 0; seq = 1; digest = pp.digest; replica = c });
+      L.deliver b ~sender:c (M.Checkpoint { seq = 16; digest = pp.digest; replica = c }))
+    [ 5; 6 ];
+  Alcotest.(check int) "nothing executed" 0 (Replica.last_executed b.replica);
+  Alcotest.(check int) "forged votes counted" 6 (Replica.stats b.replica).rejected_insane;
+  Alcotest.(check int) "insane metric agrees" 6 (L.insane_count b);
+  Alcotest.(check bool) "no fetch target from client checkpoints" true
+    (Replica.fetch_target b.replica = None);
+  L.order b pp;
+  Alcotest.(check int) "replica votes still execute the slot" 1
+    (Replica.last_executed b.replica)
+
 let suite =
   [
     Alcotest.test_case "garbage bytes: counted, replica live" `Quick
       test_garbage_counted_and_dropped;
     Alcotest.test_case "well-formed body, bad MAC" `Quick test_wellformed_body_bad_mac;
+    Alcotest.test_case "client-sealed votes rejected" `Quick test_client_votes_rejected;
   ]

@@ -20,6 +20,7 @@ let () =
       ("determinism", Test_determinism.suite);
       ("faultplan", Test_faultplan.suite);
       ("view-change", Test_view_change.suite);
+      ("bookkeeping", Test_replica_bookkeeping.suite);
       ("lint", Test_lint.suite);
       ("batching", Test_batching.suite);
       ("load", Test_load.suite);
