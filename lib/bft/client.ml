@@ -160,21 +160,25 @@ let check_quorum t p =
   | Some result -> finish t p result
   | None -> ()
 
+(* Only a reply that would count is MAC-checked: one for the outstanding
+   request, from the replica it names.  Late replies for a request whose
+   quorum is already complete are dropped without a MAC check, and an
+   unauthentic reply for the outstanding request still counts for nothing. *)
 let receive t (env : M.envelope) =
-  Base_obs.Profile.start t.prof t.p_verify;
-  let authentic = M.verify t.keychain ~receiver:t.id env in
-  Base_obs.Profile.stop t.prof t.p_verify;
-  if authentic then begin
-    match (env.body, t.current) with
-    | M.Reply r, Some p
-      when r.client = t.id
-           && Int64.equal r.timestamp p.request.timestamp
-           && r.replica = env.sender
-           && Types.is_replica t.config env.sender ->
+  match (env.body, t.current) with
+  | M.Reply r, Some p
+    when r.client = t.id
+         && Int64.equal r.timestamp p.request.timestamp
+         && r.replica = env.sender
+         && Types.is_replica t.config env.sender ->
+    Base_obs.Profile.start t.prof t.p_verify;
+    let authentic = M.verify t.keychain ~receiver:t.id env in
+    Base_obs.Profile.stop t.prof t.p_verify;
+    if authentic then begin
       Hashtbl.replace p.replies env.sender r.result;
       check_quorum t p
-    | _ -> ()
-  end
+    end
+  | _ -> ()
 
 let on_timer t ~tag ~payload =
   match (tag, t.current) with

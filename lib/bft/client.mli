@@ -63,7 +63,10 @@ val invoke : t -> ?read_only:bool -> operation:string -> (string -> unit) -> uni
     the reply quorum arrives. *)
 
 val receive : t -> Message.envelope -> unit
-(** Feed a network delivery (replies) to the client. *)
+(** Feed a network delivery (replies) to the client.  Only a reply that
+    matches the outstanding request (its timestamp, this client, and a
+    replica that names itself as the sender) is MAC-checked; anything else
+    is dropped unchecked, and a reply that fails its MAC never counts. *)
 
 val on_timer : t -> tag:string -> payload:int -> unit
 

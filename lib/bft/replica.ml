@@ -46,6 +46,8 @@ type stats = {
   mutable rejected_macs : int;
   mutable rejected_decode : int;
   mutable rejected_insane : int;  (* well-formed but protocol-implausible messages *)
+  mutable pp_resent_relay : int;  (* PRE-PREPAREs resent for a relayed request *)
+  mutable pp_resent_status : int;  (* PRE-PREPAREs resent by the status mechanism *)
 }
 
 (* Protocol-phase instrumentation: latency histograms over the local
@@ -65,6 +67,8 @@ type obs = {
   c_reject_decode : Base_obs.Metrics.counter;
   c_reject_insane : Base_obs.Metrics.counter;
   c_equivocation : Base_obs.Metrics.counter;
+  c_pp_resent_relay : Base_obs.Metrics.counter;
+  c_pp_resent_status : Base_obs.Metrics.counter;
   mutable vc_started : int64;  (* -1 when no view change is in progress *)
   mutable last_cp : int64;  (* timestamp of the previous checkpoint; -1 before the first *)
 }
@@ -86,6 +90,8 @@ let make_obs ?(suffix = "") metrics =
     c_reject_decode = c "bft.reject.decode";
     c_reject_insane = c "bft.reject.insane";
     c_equivocation = c "bft.equivocation_detected";
+    c_pp_resent_relay = c "bft.pre_prepare.resent.relay";
+    c_pp_resent_status = c "bft.pre_prepare.resent.status";
     vc_started = -1L;
     last_cp = -1L;
   }
@@ -95,11 +101,16 @@ let make_obs ?(suffix = "") metrics =
    every sender before indexing. *)
 type votes = Digest.t option array
 
+(* A primary's PRE-PREPARE envelope, with the pre-prepare record it was
+   sealed from and the keychain generation it was sealed under. *)
+type sealed = { s_pp : M.pre_prepare; s_generation : int; s_env : M.envelope }
+
 (* Per-sequence-number log slot.  Certificates are counted over matching
    digests in the prepare/commit vote tables.  The [t_*] fields are local
    phase timestamps (-1 = milestone not reached). *)
 type entry = {
   mutable pre_prepare : M.pre_prepare option;
+  mutable sealed_pp : sealed option;  (* primary: see [send_pre_prepare] *)
   prepares : votes;
   commits : votes;
   mutable sent_commit : bool;
@@ -168,6 +179,7 @@ type t = {
 let fresh_entry n =
   {
     pre_prepare = None;
+    sealed_pp = None;
     prepares = Array.make n None;
     commits = Array.make n None;
     sent_commit = false;
@@ -295,12 +307,42 @@ let seal t body =
 let send_one t ~dst body =
   if t.behavior <> Mute then t.net.send ~dst (seal t body)
 
-let broadcast t body =
+let broadcast_env t env =
+  for r = 0 to t.config.n - 1 do
+    if r <> t.id then t.net.send ~dst:r env
+  done
+
+let broadcast t body = if t.behavior <> Mute then broadcast_env t (seal t body)
+
+type pp_send = Original | Resend_relay | Resend_status
+
+(* Every PRE-PREPARE this replica sends as primary, first copy and
+   retransmissions alike, goes through here ([dst] unicasts, else it
+   broadcasts).  A retransmission is the same sealed envelope as the first
+   copy: it is reused while the slot still holds the very pre-prepare
+   record it was sealed from (a new view or a superseded slot brings a new
+   record) and no key refresh happened since, because a refresh voids the
+   MACs it carries. *)
+let send_pre_prepare ?dst t entry (pp : M.pre_prepare) cause =
   if t.behavior <> Mute then begin
-    let env = seal t body in
-    for r = 0 to t.config.n - 1 do
-      if r <> t.id then t.net.send ~dst:r env
-    done
+    let generation = Auth.generation t.keychain in
+    let env =
+      match entry.sealed_pp with
+      | Some s when s.s_pp == pp && s.s_generation = generation -> s.s_env
+      | Some _ | None ->
+        let env = seal t (M.Pre_prepare pp) in
+        entry.sealed_pp <- Some { s_pp = pp; s_generation = generation; s_env = env };
+        env
+    in
+    (match cause with
+    | Original -> ()
+    | Resend_relay ->
+      t.stats.pp_resent_relay <- t.stats.pp_resent_relay + 1;
+      Base_obs.Metrics.incr t.obs.c_pp_resent_relay
+    | Resend_status ->
+      t.stats.pp_resent_status <- t.stats.pp_resent_status + 1;
+      Base_obs.Metrics.incr t.obs.c_pp_resent_status);
+    match dst with Some dst -> t.net.send ~dst env | None -> broadcast_env t env
   end
 
 (* Checkpoint announcements go to the whole n+s group, sealed so standbys
@@ -587,7 +629,7 @@ and assign t (batch : M.request list) =
     for dst = 0 to t.config.n - 1 do
       if dst <> t.id then send_one t ~dst (M.Pre_prepare (if dst mod 2 = 0 then pp else pp'))
     done
-  | Honest | Mute | Lie_in_replies -> broadcast t (M.Pre_prepare pp));
+  | Honest | Mute | Lie_in_replies -> send_pre_prepare t entry pp Original);
   maybe_prepared t seq entry
 
 and inflight t = t.next_seq - t.last_exec
@@ -605,7 +647,7 @@ and propose t (r : M.request) =
   then begin
     (* Assigned in this view already: retransmit so lost copies recover. *)
     match Hashtbl.find_opt t.entries cr.assigned_seq with
-    | Some { pre_prepare = Some pp; _ } -> broadcast t (M.Pre_prepare pp)
+    | Some ({ pre_prepare = Some pp; _ } as entry) -> send_pre_prepare t entry pp Resend_relay
     | Some _ | None -> ()
   end
   else if window_full t || inflight t >= t.config.max_inflight then
@@ -734,7 +776,10 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
       entry.t_pp <- now t;
       List.iter
         (fun (r : M.request) ->
-          if r.client >= 0 then begin
+          (* Internal requests are never pending: [execute_entry] keeps no
+             pending bookkeeping for them, so a mark made here would never
+             clear and would keep the progress timer armed. *)
+          if r.client >= 0 && not (Types.is_internal_client r.client) then begin
             let cr = client_rec t r.client in
             (* The pre-prepare span is only meaningful when the request was
                already known here (relayed to the primary earlier); requests
@@ -1176,7 +1221,7 @@ let on_status_timer t =
         if seq > t.last_exec then begin
           match entry.pre_prepare with
           | Some pp when pp.view = t.view ->
-            if is_primary t then broadcast t (M.Pre_prepare pp)
+            if is_primary t then send_pre_prepare t entry pp Resend_status
             else if Option.is_some entry.prepares.(t.id) then
               broadcast t
                 (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
@@ -1281,7 +1326,7 @@ let handle_status t sender (st : M.status_msg) =
         (match Hashtbl.find_opt t.entries seq with
         | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
           if primary_of t pp.view = t.id then
-            send_one t ~dst:sender (M.Pre_prepare pp)
+            send_pre_prepare ~dst:sender t entry pp Resend_status
           else if Option.is_some entry.prepares.(t.id) then
             send_one t ~dst:sender
               (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
@@ -1416,6 +1461,8 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
           rejected_macs = 0;
           rejected_decode = 0;
           rejected_insane = 0;
+          pp_resent_relay = 0;
+          pp_resent_status = 0;
         };
       obs = make_obs ~suffix:(if shard = 0 then "" else Printf.sprintf ".s%d" shard) metrics;
       prof = profile;

@@ -28,6 +28,7 @@ type keychain = {
   id : int;
   master : string;  (* group secret; shared by all chains of one [create] *)
   epochs : int array;  (* per-principal refresh counters; shared *)
+  generation : int ref;  (* total refreshes across all principals; shared *)
   cache : (int, cached) Hashtbl.t;  (* peer -> memoised session key *)
 }
 
@@ -35,7 +36,8 @@ let create ~seed ~n_principals =
   let prng = Base_util.Prng.create seed in
   let master = Bytes.unsafe_to_string (Base_util.Prng.bytes prng 32) in
   let epochs = Array.make n_principals 0 in
-  Array.init n_principals (fun id -> { id; master; epochs; cache = Hashtbl.create 8 })
+  let generation = ref 0 in
+  Array.init n_principals (fun id -> { id; master; epochs; generation; cache = Hashtbl.create 8 })
 
 let derive chain ~lo ~hi ~epoch_lo ~epoch_hi =
   Hmac.mac ~key:chain.master (Printf.sprintf "%d.%d.%d.%d" lo hi epoch_lo epoch_hi)
@@ -62,8 +64,11 @@ let refresh_keys chains i =
      [i] with every peer (stale cache entries fail their epoch check). *)
   if Array.length chains > 0 then begin
     let any = chains.(0) in
-    any.epochs.(i) <- any.epochs.(i) + 1
+    any.epochs.(i) <- any.epochs.(i) + 1;
+    incr any.generation
   end
+
+let generation chain = !(chain.generation)
 
 let mac_for chain ~receiver msg = Hmac.mac ~key:(session_key chain receiver) msg
 

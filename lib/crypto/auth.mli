@@ -28,6 +28,13 @@ val refresh_keys : keychain array -> int -> unit
     peer (simulating the key exchange performed after a reboot); the peers'
     keychains are updated accordingly and the epoch bumps. *)
 
+val generation : keychain -> int
+(** Number of {!refresh_keys} calls so far on the chains of this
+    [create]; every one of them reads the same counter.  A MAC verifies
+    at its receiver for as long as [generation] stays where it was when
+    the MAC was computed, so a caller that keeps sealed messages reseals
+    once it moves. *)
+
 val mac_for : keychain -> receiver:int -> string -> string
 (** MAC of the message for one receiver, under the sender/receiver key. *)
 

@@ -360,7 +360,24 @@ let set_timer t ~node ~after ~tag ~payload =
   note_queue_depth t;
   id
 
-let cancel_timer t id = Hashtbl.replace t.cancelled id ()
+(* Cancelled timers stay queued until popped, and [cancelled] holds their
+   ids until then; ids of timers cancelled after they fired stay in it for
+   good.  Once [cancelled] reaches [purge_floor] entries and outnumbers half
+   the queue, one linear pass drops the cancelled timers and the table
+   starts over.  Nothing popped changes: a cancelled timer does nothing
+   when dispatched, and the survivors' (time, seq) keys are unique. *)
+let purge_floor = 64
+
+let cancel_timer t id =
+  Hashtbl.replace t.cancelled id ();
+  let n = Hashtbl.length t.cancelled in
+  if n >= purge_floor && 2 * n > Event_heap.length t.queue then begin
+    Event_heap.filter t.queue (function
+      | Q_timer { id; _ } -> not (Hashtbl.mem t.cancelled id)
+      | Q_deliver _ -> true);
+    Hashtbl.reset t.cancelled;
+    note_queue_depth t
+  end
 
 let dispatch t queued =
   Base_obs.Profile.start t.prof t.p_dispatch;

@@ -116,6 +116,12 @@ val set_timer : 'msg t -> node:int -> after:Sim_time.t -> tag:string -> payload:
 (** Returns a timer id usable with {!cancel_timer}. *)
 
 val cancel_timer : 'msg t -> int -> unit
+(** The timer never fires.  Cancelling a timer that already fired, or one
+    already cancelled, is a no-op.  A cancelled timer may stay queued until
+    its deadline; once at least 64 cancellations are outstanding and they
+    make up more than half the queue, this call drops every cancelled timer
+    from the queue in one linear pass.  Dispatch order of the remaining
+    events is unchanged. *)
 
 (** {1 Execution} *)
 
@@ -155,7 +161,9 @@ val label_counters : 'msg t -> (string * counters) list
     key; [dropped_msgs] includes messages lost to a down destination. *)
 
 val queue_depth : 'msg t -> int
-(** Events (messages and timers) currently queued. *)
+(** Events (messages and timers) currently queued, counting cancelled
+    timers not yet dropped.  Right after any {!cancel_timer} those number
+    fewer than 64 or at most as many as the live events. *)
 
 val max_queue_depth : 'msg t -> int
 (** High-water mark of {!queue_depth} over the run. *)

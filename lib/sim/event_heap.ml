@@ -115,6 +115,26 @@ let pop_exn t =
 
 let last_time t = Int64.of_int t.last_time
 
+(* Compact the kept events to the front in array order, then restore the
+   heap property bottom-up (Floyd): O(size), against O(size log size) for
+   popping and re-pushing.  Keys are unique, so the survivors still pop in
+   exactly sorted (time, seq) order. *)
+let filter t keep =
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    if keep t.payloads.(i) then begin
+      let j = !kept in
+      t.times.(j) <- t.times.(i);
+      t.seqs.(j) <- t.seqs.(i);
+      t.payloads.(j) <- t.payloads.(i);
+      kept := j + 1
+    end
+  done;
+  t.size <- !kept;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done
+
 let pop t =
   if t.size = 0 then None
   else begin

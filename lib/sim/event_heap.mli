@@ -33,3 +33,9 @@ val last_time : 'a t -> Sim_time.t
 
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Allocating convenience wrapper over {!pop_exn}/{!last_time}. *)
+
+val filter : 'a t -> ('a -> bool) -> unit
+(** [filter t keep] drops every queued event whose payload fails [keep],
+    in place and in time linear in {!length}.  The survivors keep their
+    (time, seq) keys, so they pop in the same relative order as before,
+    and events pushed later still order after them on equal times. *)

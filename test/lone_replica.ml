@@ -1,7 +1,7 @@
 (* One replica driven message by message, with no simulator behind it.  The
    test seals every envelope it delivers (as any principal of the group),
-   outgoing sends are dropped, and the replica's timers are recorded so a
-   test can ask which are armed and fire them by hand.
+   outgoing sends are recorded but never delivered, and the replica's timers
+   are recorded so a test can ask which are armed and fire them by hand.
 
    The group is f = 1: replicas 0-3, clients 4-6.  Replica 0 leads view 0. *)
 
@@ -15,6 +15,8 @@ type t = {
   replica : Replica.t;
   chains : Auth.keychain array;
   metrics : Base_obs.Metrics.t;
+  profile : Base_obs.Profile.t;  (* enabled: probe call counts are live *)
+  sent : (int * M.envelope) list ref;  (* (dst, envelope), newest first *)
   timers : (int, string) Hashtbl.t;  (* armed timer id -> tag *)
   executed : (int * int64) list ref;  (* (client, timestamp), newest first *)
 }
@@ -28,10 +30,13 @@ let app_digest = Digest.of_string "lone-app"
 let create ~id =
   let chains = Auth.create ~seed:17L ~n_principals:config.Types.n_principals in
   let metrics = Base_obs.Metrics.create () in
+  let profile = Base_obs.Profile.create () in
+  Base_obs.Profile.enable profile;
   let timers = Hashtbl.create 4 and last_timer = ref 0 and executed = ref [] in
+  let sent = ref [] in
   let net =
     {
-      Replica.send = (fun ~dst:_ _ -> ());
+      Replica.send = (fun ~dst env -> sent := (dst, env) :: !sent);
       set_timer =
         (fun ~after_us:_ ~tag ~payload:_ ->
           incr last_timer;
@@ -55,8 +60,10 @@ let create ~id =
       start_fetch = (fun ~seq:_ ~digest:_ -> ());
     }
   in
-  let replica = Replica.create ~metrics ~config ~id ~keychain:chains.(id) ~net ~app () in
-  { replica; chains; metrics; timers; executed }
+  let replica =
+    Replica.create ~metrics ~profile ~config ~id ~keychain:chains.(id) ~net ~app ()
+  in
+  { replica; chains; metrics; profile; sent; timers; executed }
 
 (* Deliver [body] as sent by principal [sender]. *)
 let deliver t ~sender body =
@@ -95,3 +102,5 @@ let vc_armed t = Seq.exists (String.equal "vc") (Hashtbl.to_seq_values t.timers)
 
 let insane_count t =
   Base_obs.Metrics.counter_value (Base_obs.Metrics.counter t.metrics "bft.reject.insane")
+
+let seal_calls t = Base_obs.Profile.probe_calls (Base_obs.Profile.probe t.profile "bft.seal")

@@ -162,7 +162,43 @@ let test_forged_reply_rejected () =
       in
       Client.receive w.client env)
     [ 0; 1 ];
-  Alcotest.(check (option string)) "forged macs rejected" None !result
+  Alcotest.(check (option string)) "forged macs rejected" None !result;
+  (* The forgeries match the outstanding request in every field, so they
+     reach the MAC check, and failing it they count for nothing even next
+     to a genuine reply with the same result. *)
+  reply w ~replica:2 ~timestamp:0L ~result:"evil";
+  Alcotest.(check (option string)) "one genuine reply is not a quorum" None !result
+
+(* Replies that cannot count are dropped before their MAC check: a late
+   reply after the quorum completed costs no [client.verify] call. *)
+let test_late_reply_not_verified () =
+  let config = Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Auth.create ~seed:3L ~n_principals:config.Types.n_principals in
+  let profile = Base_obs.Profile.create () in
+  Base_obs.Profile.enable profile;
+  let net =
+    {
+      Client.send = (fun ~dst:_ _ -> ());
+      set_timer = (fun ~after_us:_ ~tag:_ ~payload:_ -> 0);
+      cancel_timer = ignore;
+      now_us = (fun () -> 0L);
+    }
+  in
+  let client = Client.create ~profile ~config ~id:4 ~keychain:chains.(4) ~net () in
+  let verifies () = Base_obs.Profile.probe_calls (Base_obs.Profile.probe profile "client.verify") in
+  let result = ref None in
+  Client.invoke client ~operation:"op" (fun r -> result := Some r);
+  let send_reply replica =
+    let body = Message.Reply { view = 0; timestamp = 0L; client = 4; replica; result = "x" } in
+    Client.receive client (Message.seal_for chains.(replica) ~sender:replica ~receiver:4 body)
+  in
+  send_reply 0;
+  send_reply 1;
+  Alcotest.(check (option string)) "f+1 replies complete" (Some "x") !result;
+  Alcotest.(check int) "both replies MAC-checked" 2 (verifies ());
+  send_reply 2;
+  send_reply 3;
+  Alcotest.(check int) "late replies not MAC-checked" 2 (verifies ())
 
 (* Regression (linearizability hole): the read-only fallback must not reuse
    the read-only attempt's timestamp — late tentative replies from the
@@ -259,6 +295,7 @@ let suite =
     Alcotest.test_case "read-only fallback" `Quick test_ro_fallback_after_retries;
     Alcotest.test_case "outstanding ops queue" `Quick test_queueing_outstanding_ops;
     Alcotest.test_case "forged replies rejected" `Quick test_forged_reply_rejected;
+    Alcotest.test_case "late replies skip the MAC check" `Quick test_late_reply_not_verified;
     Alcotest.test_case "ro fallback ignores stale tentative replies" `Quick
       test_ro_fallback_ignores_stale_tentative;
     Alcotest.test_case "ro fallback bumps timestamp" `Quick

@@ -1,10 +1,11 @@
 (* Engine event-queue determinism: the flat array-backed [Event_heap] must
    dequeue {e identically} to the generic [Heap] it replaced
    (comparator on time, insertion-order tie-break) on fuzzed schedules —
-   heavy ties, interleaved pushes and pops, bursts — and the engine built
-   on it must keep timer semantics exact: FIFO among equal deadlines,
-   cancelled timers never fire, timers for down nodes are dropped.  Every
-   blessed experiment seed rides on this equivalence. *)
+   heavy ties, interleaved pushes, pops and filters, bursts — and the
+   engine built on it must keep timer semantics exact: FIFO among equal
+   deadlines, cancelled timers never fire (nor stay queued in bulk),
+   timers for down nodes are dropped.  Every blessed experiment seed rides
+   on this equivalence. *)
 
 module Event_heap = Base_sim.Event_heap
 module Engine = Base_sim.Engine
@@ -16,6 +17,12 @@ module Prng = Base_util.Prng
    engine's old configuration. *)
 let old_heap () = Heap.create ~cmp:(fun (t1, _) (t2, _) -> compare (t1 : int64) t2)
 
+(* The oracle's [filter]: drain in pop order and re-push the survivors,
+   which keeps ties in insertion order. *)
+let oracle_filter q keep =
+  let rec drain acc = match Heap.pop q with Some x -> drain (x :: acc) | None -> List.rev acc in
+  List.iter (fun ((_, id) as x) -> if keep id then Heap.push q x) (drain [])
+
 let test_differential_fuzz () =
   let rng = Prng.create 0xCAFEL in
   for round = 1 to 50 do
@@ -23,10 +30,21 @@ let test_differential_fuzz () =
     let old_q = old_heap () in
     let id = ref 0 in
     (* A clustered time range forces many exact ties; interleaved pops
-       exercise sift-down on partially drained heaps. *)
+       exercise sift-down on partially drained heaps, and an occasional
+       [filter] drops a pseudo-random subset and re-heapifies. *)
     let n_ops = 200 + Prng.int rng 400 in
     for _ = 1 to n_ops do
-      if Prng.int rng 4 < 3 || Event_heap.is_empty new_q then begin
+      let op = Prng.int rng 20 in
+      if op = 0 then begin
+        let m = 2 + Prng.int rng 3 and r = Prng.int rng 2 in
+        let keep id = id mod m <> r in
+        Event_heap.filter new_q keep;
+        oracle_filter old_q keep;
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: length after filter" round)
+          (Heap.length old_q) (Event_heap.length new_q)
+      end
+      else if op < 15 || Event_heap.is_empty new_q then begin
         let time = Int64.of_int (Prng.int rng 16) in
         incr id;
         Event_heap.push new_q ~time !id;
@@ -148,6 +166,38 @@ let test_engine_timer_schedules () =
     sorted a
   done
 
+(* Mass cancellation purges the queue: cancelling most of 1 000 armed
+   timers drops them from the queue long before their deadlines, the live
+   ones fire in (deadline, arming) order, and no cancelled one fires. *)
+let test_engine_purges_cancelled_timers () =
+  let rng = Prng.create 0x9F3EL in
+  let config = Engine.default_config ~size_of:(fun () -> 0) ~label_of:(fun () -> "NONE") in
+  let engine = Engine.create config in
+  let fired = ref [] in
+  Engine.add_node engine ~id:0 (fun _ event ->
+      match event with
+      | Engine.Timer { tag = _; payload } -> fired := payload :: !fired
+      | Engine.Deliver _ -> ());
+  let n = 1_000 in
+  let deadline = Array.init n (fun _ -> Int64.of_int (10 * (1 + Prng.int rng 50))) in
+  let ids =
+    Array.init n (fun i ->
+        Engine.set_timer engine ~node:0 ~after:deadline.(i) ~tag:"t" ~payload:i)
+  in
+  let live i = i mod 10 = 0 in
+  Array.iteri (fun i id -> if not (live i) then Engine.cancel_timer engine id) ids;
+  let n_live = n / 10 in
+  let depth = Engine.queue_depth engine in
+  if depth - n_live > max 63 n_live then
+    Alcotest.failf "%d cancelled timers still queued beside %d live ones" (depth - n_live) n_live;
+  Engine.run engine;
+  let expected =
+    List.init n Fun.id |> List.filter live
+    |> List.stable_sort (fun a b -> Int64.compare deadline.(a) deadline.(b))
+  in
+  Alcotest.(check (list int)) "live timers fire in (deadline, seq) order" expected
+    (List.rev !fired)
+
 let suite =
   [
     Alcotest.test_case "differential fuzz vs generic heap" `Quick test_differential_fuzz;
@@ -156,4 +206,6 @@ let suite =
       test_rejects_out_of_range_times;
     Alcotest.test_case "engine timer schedules: deterministic, cancels honoured" `Quick
       test_engine_timer_schedules;
+    Alcotest.test_case "engine purges mass-cancelled timers" `Quick
+      test_engine_purges_cancelled_timers;
   ]

@@ -1,10 +1,12 @@
 (* The replica's per-message bookkeeping: the live count of clients with a
-   pending request, observed through the view-change timer it drives, and
-   the gate that keeps that bookkeeping independent of the client
-   population. *)
+   pending request, observed through the view-change timer it drives, the
+   gate that keeps that bookkeeping independent of the client population,
+   and the primary's sealed PRE-PREPARE that every retransmission reuses. *)
 
 module M = Base_bft.Message
 module Replica = Base_bft.Replica
+module Types = Base_bft.Types
+module Auth = Base_crypto.Auth
 module L = Lone_replica
 
 let executed = Alcotest.(list (pair int int64))
@@ -105,6 +107,102 @@ let test_handle_alloc_independent_of_clients () =
     Alcotest.failf "bft.handle: %.0f B/request at 256 clients vs %.0f at 16" large small
   else Printf.printf "bft.handle: %.0f B/request at 256 clients, %.0f at 16\n" large small
 
+(* A cross-shard lock request reaches a backup only inside a PRE-PREPARE,
+   and executing it sends no reply and clears no pending mark.  So it must
+   never be marked pending: after it executes nothing is pending, and a
+   stale progress timer starts no view change on the idle shard. *)
+let test_internal_request_not_pending () =
+  let b = L.create ~id:1 in
+  let lock =
+    { M.client = Types.internal_client ~shard:0; timestamp = 1L; operation = "lock";
+      read_only = false }
+  in
+  L.order b (L.pre_prepare ~seq:1 [ lock ]);
+  Alcotest.check executed "internal request executed"
+    [ (Types.internal_client ~shard:0, 1L) ] !(b.executed);
+  Alcotest.(check bool) "nothing pending after it executes" false (L.vc_armed b);
+  Replica.on_timer b.replica ~tag:"vc" ~payload:0;
+  Alcotest.(check int) "a stale timer starts no view change" 0
+    (Replica.stats b.replica).view_changes
+
+(* The primary's first PRE-PREPARE broadcast for [r]'s slot. *)
+let assign_at_primary p (r : M.request) =
+  L.deliver p ~sender:r.client (M.Request r);
+  match !(p.L.sent) with
+  | (_, ({ M.body = M.Pre_prepare pp; _ } as env)) :: _ -> (pp, env)
+  | _ -> Alcotest.fail "the primary sent no PRE-PREPARE"
+
+let pre_prepares sent =
+  List.filter_map
+    (fun (dst, (env : M.envelope)) ->
+      match env.body with M.Pre_prepare _ -> Some (dst, env) | _ -> None)
+    sent
+
+let resent_counter p cause =
+  Base_obs.Metrics.counter_value
+    (Base_obs.Metrics.counter p.L.metrics ("bft.pre_prepare.resent." ^ cause))
+
+(* A request arriving again for a slot the primary already assigned in
+   this view (a backup's relay) resends the very envelope it sealed the
+   first time: no second seal. *)
+let test_relay_resend_reuses_envelope () =
+  let p = L.create ~id:0 in
+  let r = L.request ~client:4 1L in
+  let _, first = assign_at_primary p r in
+  let seals = L.seal_calls p in
+  p.sent := [];
+  L.deliver p ~sender:4 (M.Request r);
+  let resent = pre_prepares !(p.sent) in
+  Alcotest.(check (list int)) "rebroadcast to every backup" [ 1; 2; 3 ]
+    (List.sort compare (List.map fst resent));
+  Alcotest.(check bool) "the same sealed envelope" true
+    (List.for_all (fun (_, env) -> env == first) resent);
+  Alcotest.(check int) "no new bft.seal call" seals (L.seal_calls p);
+  Alcotest.(check int) "counted as a relay resend" 1 (Replica.stats p.replica).pp_resent_relay;
+  Alcotest.(check int) "exported as a relay resend" 1 (resent_counter p "relay")
+
+(* Proactive recovery re-keys a replica.  The envelope sealed before the
+   refresh carries a MAC the refreshed backup rejects, so the resend must be
+   sealed afresh, under the new keys. *)
+let test_resend_reseals_after_key_refresh () =
+  let p = L.create ~id:0 in
+  let r = L.request ~client:4 1L in
+  let _, first = assign_at_primary p r in
+  Auth.refresh_keys p.chains 1;
+  Alcotest.(check bool) "the old envelope fails at the refreshed backup" false
+    (M.verify p.chains.(1) ~receiver:1 first);
+  let seals = L.seal_calls p in
+  p.sent := [];
+  L.deliver p ~sender:4 (M.Request r);
+  match List.assoc_opt 1 (pre_prepares !(p.sent)) with
+  | None -> Alcotest.fail "no PRE-PREPARE resent to backup 1"
+  | Some env ->
+    Alcotest.(check bool) "verifies at the refreshed backup" true
+      (M.verify p.chains.(1) ~receiver:1 env);
+    Alcotest.(check int) "sealed once more" (seals + 1) (L.seal_calls p)
+
+(* A STATUS from a backup behind the primary gets the PRE-PREPARE of each
+   missing slot unicast back: the same envelope as the first broadcast. *)
+let test_status_resend_reuses_envelope () =
+  let p = L.create ~id:0 in
+  let pp, first = assign_at_primary p (L.request ~client:4 1L) in
+  List.iter
+    (fun b ->
+      L.deliver p ~sender:b (M.Prepare { view = 0; seq = 1; digest = pp.digest; replica = b }))
+    [ 1; 2 ];
+  List.iter
+    (fun b ->
+      L.deliver p ~sender:b (M.Commit { view = 0; seq = 1; digest = pp.digest; replica = b }))
+    [ 1; 2 ];
+  Alcotest.check executed "slot 1 executed" [ (4, 1L) ] !(p.executed);
+  p.sent := [];
+  L.deliver p ~sender:3 (M.Status { st_view = 0; st_last_exec = 0; st_h = 0; st_replica = 3 });
+  (match pre_prepares !(p.sent) with
+  | [ (3, env) ] -> Alcotest.(check bool) "the same sealed envelope" true (env == first)
+  | _ -> Alcotest.fail "expected one PRE-PREPARE, to replica 3");
+  Alcotest.(check int) "counted as a status resend" 1 (Replica.stats p.replica).pp_resent_status;
+  Alcotest.(check int) "exported as a status resend" 1 (resent_counter p "status")
+
 let suite =
   [
     Alcotest.test_case "relayed request arms, execution disarms" `Quick
@@ -114,4 +212,11 @@ let suite =
       test_fetch_resets_pending;
     Alcotest.test_case "bft.handle bytes independent of client count" `Quick
       test_handle_alloc_independent_of_clients;
+    Alcotest.test_case "internal request never pending" `Quick test_internal_request_not_pending;
+    Alcotest.test_case "relay resend reuses the sealed pre-prepare" `Quick
+      test_relay_resend_reuses_envelope;
+    Alcotest.test_case "resend reseals after a key refresh" `Quick
+      test_resend_reseals_after_key_refresh;
+    Alcotest.test_case "status resend reuses the sealed pre-prepare" `Quick
+      test_status_resend_reuses_envelope;
   ]
