@@ -96,40 +96,6 @@ let make_obs ?(suffix = "") metrics =
     last_cp = -1L;
   }
 
-(* A vote table: slot [r] holds replica [r]'s digest, [None] until it
-   votes.  Only active replicas ([0 .. n-1]) vote, so the handlers bound
-   every sender before indexing. *)
-type votes = Digest.t option array
-
-(* A primary's PRE-PREPARE envelope, with the pre-prepare record it was
-   sealed from and the keychain generation it was sealed under. *)
-type sealed = { s_pp : M.pre_prepare; s_generation : int; s_env : M.envelope }
-
-(* Per-sequence-number log slot.  Certificates are counted over matching
-   digests in the prepare/commit vote tables.  The [t_*] fields are local
-   phase timestamps (-1 = milestone not reached). *)
-type entry = {
-  mutable pre_prepare : M.pre_prepare option;
-  mutable sealed_pp : sealed option;  (* primary: see [send_pre_prepare] *)
-  prepares : votes;
-  commits : votes;
-  mutable sent_commit : bool;
-  mutable committed : bool;
-  mutable prepared_proof : M.prepared_proof option;
-  mutable t_pp : int64;
-  mutable t_prepared : int64;
-  mutable t_committed : int64;
-}
-
-type client_rec = {
-  mutable last_ts : int64;  (* timestamp of last executed request *)
-  mutable last_reply : M.reply option;
-  mutable pending : M.request option;  (* received but not yet executed *)
-  mutable pending_since : int64;  (* local arrival time of [pending]; -1 = none *)
-  mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
-  mutable assigned_seq : Types.seqno;
-}
-
 type t = {
   config : Types.config;
   id : int;
@@ -141,11 +107,8 @@ type t = {
   mutable behavior : behavior;
   mutable view : Types.view;
   mutable status : status;
-  entries : (Types.seqno, entry) Hashtbl.t;
-  clients : (int, client_rec) Hashtbl.t;
-  mutable n_pending : int;  (* records in [clients] whose [pending] is set *)
-  cp_msgs : (Types.seqno, votes) Hashtbl.t;
-  own_cps : (Types.seqno, Digest.t) Hashtbl.t;
+  log : Log.t;
+  clients : Client_table.t;
   mutable h : Types.seqno;  (* low watermark = last stable checkpoint *)
   mutable stable_digest : Digest.t;
   mutable last_exec : Types.seqno;
@@ -163,7 +126,8 @@ type t = {
          must keep the progress timer armed even with no client pending *)
   mutable in_try_execute : bool;  (* reentrancy guard: see [try_execute] *)
   mutable exec_again : bool;
-  peer_views : (int, Types.view) Hashtbl.t;  (* latest STATUS-reported views *)
+  peer_views : Types.view array;
+      (* latest STATUS-reported view per replica; max_int until one arrives *)
   mutable last_nv : M.new_view option;
       (* the NEW-VIEW this primary broadcast for its current view, kept for
          retransmission to replicas that were down when the view changed *)
@@ -176,20 +140,6 @@ type t = {
   p_exec : Base_obs.Profile.probe;  (* application execute calls *)
 }
 
-let fresh_entry n =
-  {
-    pre_prepare = None;
-    sealed_pp = None;
-    prepares = Array.make n None;
-    commits = Array.make n None;
-    sent_commit = false;
-    committed = false;
-    prepared_proof = None;
-    t_pp = -1L;
-    t_prepared = -1L;
-    t_committed = -1L;
-  }
-
 let now t = t.net.now_us ()
 
 (* Every primary computation below goes through this: each shard runs its own
@@ -197,54 +147,18 @@ let now t = t.net.now_us ()
    replicas in any given view. *)
 let primary_of t view = Types.shard_primary t.config ~shard:t.shard view
 
+let is_primary t = primary_of t t.view = t.id
+
 (* Record [until - since] in [hist]; skipped when the earlier milestone was
    never seen locally (e.g. the slot arrived pre-committed via new-view). *)
 let observe_span hist ~since ~until =
   if Int64.compare since 0L >= 0 && Int64.compare until since >= 0 then
     Base_obs.Metrics.observe hist (Int64.to_float (Int64.sub until since))
 
-let get_entry t seq =
-  match Hashtbl.find_opt t.entries seq with
-  | Some e -> e
-  | None ->
-    let e = fresh_entry t.config.n in
-    Hashtbl.replace t.entries seq e;
-    e
-
-let client_rec t c =
-  match Hashtbl.find_opt t.clients c with
-  | Some r -> r
-  | None ->
-    let r =
-      {
-        last_ts = -1L;
-        last_reply = None;
-        pending = None;
-        pending_since = -1L;
-        assigned_ts = -1L;
-        assigned_seq = -1;
-      }
-    in
-    Hashtbl.replace t.clients c r;
-    r
-
-(* Every write to [client_rec.pending] goes through here, so [n_pending]
-   answers "is any client waiting?" without scanning the table. *)
-let set_pending t cr p =
-  (match (cr.pending, p) with
-  | None, Some _ -> t.n_pending <- t.n_pending + 1
-  | Some _, None -> t.n_pending <- t.n_pending - 1
-  | Some _, Some _ | None, None -> ());
-  cr.pending <- p
-
-(* Deterministic traversal of an int-keyed table: snapshot the bindings and
-   sort by key.  Every table scan below goes through this, so retransmission
-   order and wire-visible new-view summaries are independent of hash-table
-   iteration order.  It allocates the whole table, so the per-message paths
-   avoid it: vote tables are arrays and the pending count is kept live. *)
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* [cr]'s request got its pre-prepare in [entry]: close the wait that began
+   when the request first arrived here. *)
+let pre_prepare_span t cr (entry : Log.entry) =
+  observe_span t.obs.m_pre_prepare ~since:(Client_table.stop_wait cr) ~until:entry.t_pp
 
 (* A well-formed, authenticated message whose claims the protocol cannot
    accept. *)
@@ -252,67 +166,48 @@ let reject_insane t =
   t.stats.rejected_insane <- t.stats.rejected_insane + 1;
   Base_obs.Metrics.incr t.obs.c_reject_insane
 
-let clear_votes (votes : votes) = Array.fill votes 0 (Array.length votes) None
-
-(* --- digests ------------------------------------------------------------ *)
-
-(* The ordering digest binds the whole request batch *and* the agreed
-   non-deterministic values, so an equivocating primary cannot get two
-   nondet choices (or two batch compositions) past the prepare phase.
-   One SHA-256 pass over the injective batch encoding — this runs at the
-   primary per proposal and at every backup per PRE-PREPARE acceptance. *)
-let ordering_digest requests nondet = Digest.of_string (M.encode_batch requests ~nondet)
-
-(* The last-reply table as [(client, timestamp, result)] rows.  Client ids
-   are unique, so the key order of [sorted_bindings] is already the rows'
-   total order. *)
-let client_rows t =
-  List.filter_map
-    (fun (c, (r : client_rec)) ->
-      match r.last_reply with
-      | Some rep -> Some (c, r.last_ts, rep.result)
-      | None -> None)
-    (sorted_bindings t.clients)
-
-let digest_of_rows rows =
-  let e = Base_codec.Xdr.encoder () in
-  Base_codec.Xdr.list e
-    (fun e (c, ts, res) ->
-      Base_codec.Xdr.u32 e c;
-      Base_codec.Xdr.i64 e ts;
-      Base_codec.Xdr.opaque e res)
-    rows;
-  Digest.of_string (Base_codec.Xdr.contents e)
-
-let checkpoint_digest ~app_digest ~client_digest =
-  Digest.combine [ app_digest; client_digest ]
-
 (* One checkpoint: the application records its state together with the
    client rows, and the combined digest binds both. *)
 let checkpoint_now t ~seq =
-  let client_rows = client_rows t in
+  let client_rows = Client_table.rows t.clients in
   let app_digest = t.app.take_checkpoint ~seq ~client_rows in
-  checkpoint_digest ~app_digest ~client_digest:(digest_of_rows client_rows)
+  Client_table.checkpoint_digest ~app_digest client_rows
 
 (* --- sending ------------------------------------------------------------ *)
 
-(* Replica-to-replica messages authenticate to the n replicas only; replies
-   carry a single MAC for their client (see [send_reply]). *)
-let seal t body =
+(* Seal [body] for principals [0 .. receivers - 1]: the n active replicas,
+   or the whole n+s group for checkpoint broadcasts (below). *)
+let seal t ~receivers body =
   Base_obs.Profile.start t.prof t.p_seal;
-  let env = M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:t.config.n body in
+  let env = M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:receivers body in
   Base_obs.Profile.stop t.prof t.p_seal;
   env
 
-let send_one t ~dst body =
-  if t.behavior <> Mute then t.net.send ~dst (seal t body)
+(* [env] to [dst] alone, else to every other principal below [receivers]. *)
+let send_env ?dst t ~receivers env =
+  match dst with
+  | Some dst -> t.net.send ~dst env
+  | None ->
+    for r = 0 to receivers - 1 do
+      if r <> t.id then t.net.send ~dst:r env
+    done
 
-let broadcast_env t env =
-  for r = 0 to t.config.n - 1 do
-    if r <> t.id then t.net.send ~dst:r env
-  done
+(* A replica-to-replica message, to [dst] alone or to every replica.
+   Replies carry a single MAC for their client (see [send_reply]). *)
+let send ?dst t body =
+  if t.behavior <> Mute then
+    send_env ?dst t ~receivers:t.config.n (seal t ~receivers:t.config.n body)
 
-let broadcast t body = if t.behavior <> Mute then broadcast_env t (seal t body)
+(* Checkpoint announcements go to the whole n+s group, sealed so standbys
+   can verify them too: the certificates standbys build from these are
+   their only evidence of what the stable abstract state is, so they must
+   be first-class MACed messages, not hearsay.  With [s = 0] this is
+   exactly [send]. *)
+let broadcast_checkpoint t ~seq digest =
+  if t.behavior <> Mute then begin
+    let receivers = Types.group_size t.config in
+    send_env t ~receivers (seal t ~receivers (M.Checkpoint { seq; digest; replica = t.id }))
+  end
 
 type pp_send = Original | Resend_relay | Resend_status
 
@@ -323,14 +218,14 @@ type pp_send = Original | Resend_relay | Resend_status
    record it was sealed from (a new view or a superseded slot brings a new
    record) and no key refresh happened since, because a refresh voids the
    MACs it carries. *)
-let send_pre_prepare ?dst t entry (pp : M.pre_prepare) cause =
+let send_pre_prepare ?dst t (entry : Log.entry) (pp : M.pre_prepare) cause =
   if t.behavior <> Mute then begin
     let generation = Auth.generation t.keychain in
     let env =
       match entry.sealed_pp with
       | Some s when s.s_pp == pp && s.s_generation = generation -> s.s_env
       | Some _ | None ->
-        let env = seal t (M.Pre_prepare pp) in
+        let env = seal t ~receivers:t.config.n (M.Pre_prepare pp) in
         entry.sealed_pp <- Some { s_pp = pp; s_generation = generation; s_env = env };
         env
     in
@@ -342,26 +237,19 @@ let send_pre_prepare ?dst t entry (pp : M.pre_prepare) cause =
     | Resend_status ->
       t.stats.pp_resent_status <- t.stats.pp_resent_status + 1;
       Base_obs.Metrics.incr t.obs.c_pp_resent_status);
-    match dst with Some dst -> t.net.send ~dst env | None -> broadcast_env t env
+    send_env ?dst t ~receivers:t.config.n env
   end
 
-(* Checkpoint announcements go to the whole n+s group, sealed so standbys
-   can verify them too: the certificates standbys build from these are
-   their only evidence of what the stable abstract state is, so they must
-   be first-class MACed messages, not hearsay.  With [s = 0] this is
-   exactly [broadcast]. *)
-let broadcast_group t body =
-  if t.behavior <> Mute then begin
-    Base_obs.Profile.start t.prof t.p_seal;
-    let env =
-      M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:(Types.group_size t.config)
-        body
-    in
-    Base_obs.Profile.stop t.prof t.p_seal;
-    for r = 0 to Types.group_size t.config - 1 do
-      if r <> t.id then t.net.send ~dst:r env
-    done
-  end
+(* Retransmit our part of slot [seq]'s agreement in the current view: the
+   PRE-PREPARE if we lead it, else our PREPARE; then our COMMIT.  To [dst]
+   alone (a laggard's STATUS), else to every replica (our stalled status
+   timer). *)
+let resend_slot ?dst t seq (entry : Log.entry) (pp : M.pre_prepare) =
+  if primary_of t pp.view = t.id then send_pre_prepare ?dst t entry pp Resend_status
+  else if Option.is_some entry.prepares.(t.id) then
+    send ?dst t (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
+  if entry.sent_commit then
+    send ?dst t (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
 
 let send_reply t (reply : M.reply) =
   let reply =
@@ -382,7 +270,7 @@ let send_reply t (reply : M.reply) =
 
 (* --- timers ------------------------------------------------------------- *)
 
-let has_pending t = t.external_pending > 0 || t.n_pending > 0
+let has_pending t = t.external_pending > 0 || Client_table.any_pending t.clients
 
 let cancel_vc_timer t =
   match t.vc_timer with
@@ -391,10 +279,10 @@ let cancel_vc_timer t =
     t.vc_timer <- None
   | None -> ()
 
-let start_vc_timer t =
-  if t.vc_timer = None && t.status = Normal then
-    t.vc_timer <-
-      Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:t.view)
+let arm_vc_timer t =
+  t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:t.view)
+
+let start_vc_timer t = if t.vc_timer = None && t.status = Normal then arm_vc_timer t
 
 let restart_vc_timer t =
   cancel_vc_timer t;
@@ -402,37 +290,11 @@ let restart_vc_timer t =
 
 (* --- checkpoints -------------------------------------------------------- *)
 
-let cp_table t seq =
-  match Hashtbl.find_opt t.cp_msgs seq with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Array.make t.config.n None in
-    Hashtbl.replace t.cp_msgs seq tbl;
-    tbl
-
-(* Votes for [digest], leaving out replica [except] (-1 leaves out none). *)
-let count_matching ~except (votes : votes) digest =
-  let count = ref 0 in
-  for r = 0 to Array.length votes - 1 do
-    match votes.(r) with
-    | Some d when r <> except && Digest.equal d digest -> incr count
-    | Some _ | None -> ()
-  done;
-  !count
-
-let discard_log_below t seq =
-  let stale_keys tbl below =
-    List.filter_map (fun (s, _) -> if s < below then Some s else None) (sorted_bindings tbl)
-  in
-  List.iter (Hashtbl.remove t.entries) (stale_keys t.entries (seq + 1));
-  List.iter (Hashtbl.remove t.cp_msgs) (stale_keys t.cp_msgs seq);
-  List.iter (Hashtbl.remove t.own_cps) (stale_keys t.own_cps seq)
-
 let rec make_stable t seq digest =
   if seq > t.h then begin
     t.h <- seq;
     t.stable_digest <- digest;
-    discard_log_below t seq;
+    Log.discard_below t.log seq;
     t.app.discard_checkpoints_below seq;
     if t.next_seq < seq then t.next_seq <- seq;
     (* The primary may now have window space for queued requests. *)
@@ -440,20 +302,22 @@ let rec make_stable t seq digest =
   end
 
 and maybe_stable t seq =
-  match Hashtbl.find_opt t.own_cps seq with
-  | None -> ()
-  | Some own ->
-    if seq > t.h && count_matching ~except:(-1) (cp_table t seq) own + 1 >= Types.quorum t.config
-    then make_stable t seq own
+  match Hashtbl.find_opt t.log.own_cps seq with
+  | Some own
+    when seq > t.h
+         && Log.count_matching ~except:(-1) (Log.cp_votes t.log seq) own + 1
+            >= Types.quorum t.config ->
+    make_stable t seq own
+  | Some _ | None -> ()
 
 and take_checkpoint t =
   let seq = t.last_exec in
   let d = checkpoint_now t ~seq in
-  Hashtbl.replace t.own_cps seq d;
+  Hashtbl.replace t.log.own_cps seq d;
   t.stats.checkpoints_taken <- t.stats.checkpoints_taken + 1;
   observe_span t.obs.m_cp_interval ~since:t.obs.last_cp ~until:(now t);
   t.obs.last_cp <- now t;
-  broadcast_group t (M.Checkpoint { seq; digest = d; replica = t.id });
+  broadcast_checkpoint t ~seq d;
   maybe_stable t seq
 
 (* --- execution ---------------------------------------------------------- *)
@@ -469,17 +333,15 @@ and entry_ready t (pp : M.pre_prepare) =
   List.for_all
     (fun (r : M.request) ->
       r.client = -1
-      ||
-      let cr = client_rec t r.client in
-      r.timestamp <= cr.last_ts
+      || r.timestamp <= (Client_table.find t.clients r.client).last_ts
       || t.app.ready ~client:r.client ~timestamp:r.timestamp ~operation:r.operation)
     pp.requests
 
-and execute_entry t seq entry (pp : M.pre_prepare) =
+and execute_entry t seq (entry : Log.entry) (pp : M.pre_prepare) =
   List.iter
     (fun (r : M.request) ->
-      if r.client >= 0 && not (Types.is_internal_client r.client) then begin
-        let cr = client_rec t r.client in
+      if r.client >= 0 then begin
+        let cr = Client_table.find t.clients r.client in
         (* A request can be ordered twice across view changes; only its
            first ordering executes (exactly-once semantics via the
            client-table timestamp). *)
@@ -491,38 +353,18 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
               ~nondet:pp.nondet ~read_only:false
           in
           Base_obs.Profile.stop t.prof t.p_exec;
-          cr.last_ts <- r.timestamp;
-          let reply =
-            { M.view = t.view; timestamp = r.timestamp; client = r.client; replica = t.id;
-              result }
-          in
-          cr.last_reply <- Some reply;
-          (match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
-          | Some _ | None -> ());
-          send_reply t reply
-        end
-        else begin
-          match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
-          | Some _ | None -> ()
-        end
-      end
-      else if Types.is_internal_client r.client then begin
-        (* Internal (runtime-injected) request, e.g. a cross-shard lock: it
-           executes through the same upcall — the runtime recognises the
-           virtual client id — but no reply is sent and no pending
-           bookkeeping applies.  The timestamp dedupe still guards against
-           re-ordering across view changes. *)
-        let cr = client_rec t r.client in
-        if r.timestamp > cr.last_ts then begin
-          t.stats.executed_requests <- t.stats.executed_requests + 1;
-          Base_obs.Profile.start t.prof t.p_exec;
-          ignore
-            (t.app.execute ~client:r.client ~timestamp:r.timestamp ~operation:r.operation
-               ~nondet:pp.nondet ~read_only:false);
-          Base_obs.Profile.stop t.prof t.p_exec;
-          cr.last_ts <- r.timestamp
+          (* An internal (runtime-injected) request, e.g. a cross-shard lock,
+             executes through the same upcall — the runtime recognises the
+             virtual client id — but gets no reply, and is never pending. *)
+          if Types.is_internal_client r.client then Client_table.executed t.clients cr r None
+          else begin
+            let reply =
+              { M.view = t.view; timestamp = r.timestamp; client = r.client; replica = t.id;
+                result }
+            in
+            Client_table.executed t.clients cr r (Some reply);
+            send_reply t reply
+          end
         end
       end)
     pp.requests;
@@ -549,7 +391,7 @@ and try_execute t =
         while !continue do
           t.exec_again <- false;
           let seq = t.last_exec + 1 in
-          (match Hashtbl.find_opt t.entries seq with
+          (match Hashtbl.find_opt t.log.entries seq with
           | Some ({ committed = true; pre_prepare = Some pp; _ } as entry) ->
             if entry_ready t pp then execute_entry t seq entry pp
             else continue := false
@@ -560,10 +402,10 @@ and try_execute t =
 
 (* --- certificates ------------------------------------------------------- *)
 
-and maybe_committed t _seq entry =
+and maybe_committed t (entry : Log.entry) =
   match entry.pre_prepare with
   | Some pp when entry.prepared_proof <> None && not entry.committed ->
-    if count_matching ~except:(-1) entry.commits pp.digest >= Types.quorum t.config then begin
+    if Log.count_matching ~except:(-1) entry.commits pp.digest >= Types.quorum t.config then begin
       entry.committed <- true;
       entry.t_committed <- now t;
       observe_span t.obs.m_commit ~since:entry.t_prepared ~until:entry.t_committed;
@@ -571,10 +413,10 @@ and maybe_committed t _seq entry =
     end
   | Some _ | None -> ()
 
-and maybe_prepared t seq entry =
+and maybe_prepared t seq (entry : Log.entry) =
   match entry.pre_prepare with
   | Some pp ->
-    let count = count_matching ~except:(primary_of t pp.view) entry.prepares pp.digest in
+    let count = Log.count_matching ~except:(primary_of t pp.view) entry.prepares pp.digest in
     if count >= 2 * t.config.f && entry.prepared_proof = None then begin
       entry.prepared_proof <-
         Some
@@ -590,11 +432,11 @@ and maybe_prepared t seq entry =
       if not entry.sent_commit then begin
         entry.sent_commit <- true;
         entry.commits.(t.id) <- Some pp.digest;
-        broadcast t (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
+        send t (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
       end;
-      maybe_committed t seq entry
+      maybe_committed t entry
     end
-    else if entry.prepared_proof <> None then maybe_committed t seq entry
+    else if entry.prepared_proof <> None then maybe_committed t entry
   | None -> ()
 
 (* --- primary proposal --------------------------------------------------- *)
@@ -605,29 +447,25 @@ and assign t (batch : M.request list) =
   let seq = t.next_seq in
   let operation = match batch with r :: _ -> r.M.operation | [] -> "" in
   let nondet = t.app.propose_nondet ~operation in
-  let digest = ordering_digest batch nondet in
+  let digest = Log.ordering_digest batch nondet in
   let pp = { M.view = t.view; seq; digest; requests = batch; nondet } in
-  let entry = get_entry t seq in
+  let entry = Log.entry t.log seq in
   entry.pre_prepare <- Some pp;
   entry.t_pp <- now t;
   List.iter
     (fun (r : M.request) ->
-      let cr = client_rec t r.client in
-      cr.assigned_ts <- r.timestamp;
-      cr.assigned_seq <- seq;
-      if Int64.compare cr.pending_since 0L >= 0 then begin
-        observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:entry.t_pp;
-        cr.pending_since <- -1L
-      end)
+      let cr = Client_table.find t.clients r.client in
+      Client_table.assign cr r seq;
+      pre_prepare_span t cr entry)
     batch;
   (match t.behavior with
   | Equivocate ->
     (* Send conflicting nondet values to odd and even backups. *)
     let nondet' = nondet ^ "\001" in
-    let digest' = ordering_digest batch nondet' in
+    let digest' = Log.ordering_digest batch nondet' in
     let pp' = { pp with digest = digest'; nondet = nondet' } in
     for dst = 0 to t.config.n - 1 do
-      if dst <> t.id then send_one t ~dst (M.Pre_prepare (if dst mod 2 = 0 then pp else pp'))
+      if dst <> t.id then send ~dst t (M.Pre_prepare (if dst mod 2 = 0 then pp else pp'))
     done
   | Honest | Mute | Lie_in_replies -> send_pre_prepare t entry pp Original);
   maybe_prepared t seq entry
@@ -637,32 +475,31 @@ and inflight t = t.next_seq - t.last_exec
 and window_full t = t.next_seq + 1 > t.h + t.config.log_window
 
 and propose t (r : M.request) =
-  let cr = client_rec t r.client in
+  let cr = Client_table.find t.clients r.client in
   if r.timestamp < cr.assigned_ts || r.timestamp <= cr.last_ts then ()
-  else if
-    Int64.equal r.timestamp cr.assigned_ts
-    && (match Hashtbl.find_opt t.entries cr.assigned_seq with
-       | Some { pre_prepare = Some pp; _ } -> pp.view = t.view
-       | Some _ | None -> false)
-  then begin
-    (* Assigned in this view already: retransmit so lost copies recover. *)
-    match Hashtbl.find_opt t.entries cr.assigned_seq with
-    | Some ({ pre_prepare = Some pp; _ } as entry) -> send_pre_prepare t entry pp Resend_relay
-    | Some _ | None -> ()
-  end
-  else if window_full t || inflight t >= t.config.max_inflight then
-    (* Defer: the request is ordered in a batch as soon as earlier
-       instances make progress (this is where batching comes from). *)
-    Queue.add r t.queued_requests
   else
-    (* Fresh assignment, including when an earlier assignment died with its
-       view (it never reached a quorum, or the new-view O set would have
-       re-proposed it); exactly-once execution is enforced by the
-       client-table timestamp at execution time. *)
-    assign t [ r ]
+    let assigned =
+      if Int64.equal r.timestamp cr.assigned_ts then Hashtbl.find_opt t.log.entries cr.assigned_seq
+      else None
+    in
+    match assigned with
+    | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
+      (* Assigned in this view already: retransmit so lost copies recover. *)
+      send_pre_prepare t entry pp Resend_relay
+    | Some _ | None ->
+      if window_full t || inflight t >= t.config.max_inflight then
+        (* Defer: the request is ordered in a batch as soon as earlier
+           instances make progress (this is where batching comes from). *)
+        Queue.add r t.queued_requests
+      else
+        (* Fresh assignment, including when an earlier assignment died with
+           its view (it never reached a quorum, or the new-view O set would
+           have re-proposed it); exactly-once execution is enforced by the
+           client-table timestamp at execution time. *)
+        assign t [ r ]
 
 and drain_queue t =
-  if primary_of t t.view = t.id && t.status = Normal then begin
+  if is_primary t && t.status = Normal then begin
     let continue = ref true in
     while (not (Queue.is_empty t.queued_requests)) && !continue do
       if window_full t || inflight t >= t.config.max_inflight then continue := false
@@ -672,7 +509,7 @@ and drain_queue t =
         let size = ref 0 in
         while !size < t.config.batch_max && not (Queue.is_empty t.queued_requests) do
           let r = Queue.pop t.queued_requests in
-          let cr = client_rec t r.M.client in
+          let cr = Client_table.find t.clients r.M.client in
           if r.M.timestamp > cr.assigned_ts && r.M.timestamp > cr.last_ts then begin
             batch := r :: !batch;
             incr size
@@ -682,8 +519,6 @@ and drain_queue t =
       end
     done
   end
-
-let is_primary t = primary_of t t.view = t.id
 
 let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
 
@@ -704,7 +539,7 @@ let execute_read_only t (r : M.request) =
 let handle_request t env (r : M.request) =
   if r.read_only then execute_read_only t r
   else begin
-    let cr = client_rec t r.client in
+    let cr = Client_table.find t.clients r.client in
     if r.timestamp < cr.last_ts then ()
     else if Int64.equal r.timestamp cr.last_ts then begin
       (* Retransmission of an executed request: resend the stored reply. *)
@@ -713,11 +548,7 @@ let handle_request t env (r : M.request) =
       | None -> ()
     end
     else begin
-      (match cr.pending with
-      | Some p when p.timestamp >= r.timestamp -> ()
-      | Some _ | None ->
-        if cr.pending = None then cr.pending_since <- now t;
-        set_pending t cr (Some r));
+      Client_table.mark_pending t.clients cr r ~waiting_since:(now t);
       if t.status = Normal then begin
         if is_primary t then propose t r
         else begin
@@ -738,7 +569,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     sender = primary && pp.view = t.view && t.status = Normal && in_window t pp.seq
     && t.id <> primary
   then begin
-    let entry = get_entry t pp.seq in
+    let entry = Log.entry t.log pp.seq in
     (* A pre-prepare left over from an earlier view is void in this one: a
        slot the old primary proposed but that never reached a quorum may be
        re-proposed with different contents after the view change (observed
@@ -747,14 +578,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
        guarantees the digests agree anyway. *)
     (match entry.pre_prepare with
     | Some existing when existing.view < pp.view && not entry.committed ->
-      entry.pre_prepare <- None;
-      clear_votes entry.prepares;
-      clear_votes entry.commits;
-      entry.sent_commit <- false;
-      entry.prepared_proof <- None;
-      entry.t_pp <- -1L;
-      entry.t_prepared <- -1L;
-      entry.t_committed <- -1L
+      Log.reset_slot entry None ~t_pp:(-1L) ~keep_commits:false
     | Some _ | None -> ());
     let acceptable =
       match entry.pre_prepare with
@@ -765,7 +589,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
         if not same then Base_obs.Metrics.incr t.obs.c_equivocation;
         same
       | None ->
-        Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
+        Digest.equal (Log.ordering_digest pp.requests pp.nondet) pp.digest
         && List.length pp.requests <= t.config.batch_max
         && (match pp.requests with
            | [] -> true
@@ -776,26 +600,21 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
       entry.t_pp <- now t;
       List.iter
         (fun (r : M.request) ->
-          (* Internal requests are never pending: [execute_entry] keeps no
-             pending bookkeeping for them, so a mark made here would never
-             clear and would keep the progress timer armed. *)
+          (* Internal requests are never pending: [execute_entry] sends them
+             no reply, so a mark made here would keep the progress timer
+             armed.  The pre-prepare span is only meaningful when the request
+             was already known here (relayed to the primary earlier);
+             requests first learned from the pre-prepare itself start no
+             wait, which would record 0. *)
           if r.client >= 0 && not (Types.is_internal_client r.client) then begin
-            let cr = client_rec t r.client in
-            (* The pre-prepare span is only meaningful when the request was
-               already known here (relayed to the primary earlier); requests
-               first learned from the pre-prepare itself would record 0. *)
-            if Int64.compare cr.pending_since 0L >= 0 then begin
-              observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:entry.t_pp;
-              cr.pending_since <- -1L
-            end;
-            match cr.pending with
-            | Some p when p.timestamp >= r.timestamp -> ()
-            | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
+            let cr = Client_table.find t.clients r.client in
+            pre_prepare_span t cr entry;
+            Client_table.mark_pending t.clients cr r ~waiting_since:(-1L)
           end)
         pp.requests;
       start_vc_timer t;
       entry.prepares.(t.id) <- Some pp.digest;
-      broadcast t (M.Prepare { view = pp.view; seq = pp.seq; digest = pp.digest; replica = t.id });
+      send t (M.Prepare { view = pp.view; seq = pp.seq; digest = pp.digest; replica = t.id });
       maybe_prepared t pp.seq entry
     end
   end
@@ -806,7 +625,7 @@ let handle_prepare t sender (p : M.prepare) =
     sender = p.replica && p.view = t.view && t.status = Normal && in_window t p.seq
     && sender <> primary_of t p.view
   then begin
-    let entry = get_entry t p.seq in
+    let entry = Log.entry t.log p.seq in
     if Option.is_none entry.prepares.(sender) then begin
       (match entry.pre_prepare with
       | Some accepted
@@ -823,7 +642,7 @@ let handle_prepare t sender (p : M.prepare) =
 let handle_commit t sender (c : M.commit) =
   if not (Types.is_replica t.config sender) then reject_insane t
   else if sender = c.replica && c.view <= t.view && in_window t c.seq then begin
-    let entry = get_entry t c.seq in
+    let entry = Log.entry t.log c.seq in
     if Option.is_none entry.commits.(sender) then begin
       entry.commits.(sender) <- Some c.digest;
       maybe_prepared t c.seq entry
@@ -832,27 +651,7 @@ let handle_commit t sender (c : M.commit) =
 
 (* --- checkpoints and state transfer ------------------------------------- *)
 
-(* The first digest, in replica-id order, voted by at least [weak]
-   replicas. *)
-let rec certified (votes : votes) ~weak r =
-  if r >= Array.length votes then None
-  else
-    match votes.(r) with
-    | Some d as v when count_matching ~except:(-1) votes d >= weak -> v
-    | Some _ | None -> certified votes ~weak (r + 1)
-
-let fetch_target t =
-  let weak = Types.weak_quorum t.config in
-  List.fold_left
-    (fun best (seq, votes) ->
-      if seq < t.h then best
-      else begin
-        match (certified votes ~weak 0, best) with
-        | Some d, None -> Some (seq, d)
-        | Some d, Some (bs, _) when seq > bs -> Some (seq, d)
-        | _ -> best
-      end)
-    None (sorted_bindings t.cp_msgs)
+let fetch_target t = Log.fetch_target t.log ~h:t.h ~weak:(Types.weak_quorum t.config)
 
 (* A repair fetch may target a checkpoint at or below our own execution
    point: the replica rolls back to it and re-executes the committed log
@@ -882,7 +681,7 @@ let handle_checkpoint t sender (c : M.checkpoint) =
      hold if clients (or standbys) could stuff the table. *)
   if not (Types.is_replica t.config sender) then reject_insane t
   else if sender = c.replica && c.seq > t.h then begin
-    (cp_table t c.seq).(sender) <- Some c.digest;
+    (Log.cp_votes t.log c.seq).(sender) <- Some c.digest;
     if t.role = Active then begin
       maybe_stable t c.seq;
       maybe_fetch_check t ~stalled:false
@@ -897,22 +696,12 @@ let initiate_fetch t =
 let force_fetch t ~seq ~digest = start_fetch_internal ~allow_repair:true t (seq, digest)
 
 let fetch_complete t ~seq ~app_digest ~client_rows =
-  let client_digest = digest_of_rows client_rows in
-  let combined = checkpoint_digest ~app_digest ~client_digest in
+  let combined = Client_table.checkpoint_digest ~app_digest client_rows in
   (match t.fetch_in_progress with
   | Some (target_seq, target_digest) when target_seq = seq ->
     assert (Digest.equal combined target_digest)
   | Some _ | None -> ());
-  (* Install the transferred last-reply table. *)
-  Hashtbl.reset t.clients;
-  t.n_pending <- 0;
-  List.iter
-    (fun (c, ts, result) ->
-      let cr = client_rec t c in
-      cr.last_ts <- ts;
-      cr.last_reply <-
-        Some { M.view = t.view; timestamp = ts; client = c; replica = t.id; result })
-    client_rows;
+  Client_table.install t.clients ~view:t.view ~replica:t.id client_rows;
   (* Move the execution cursor to the transferred checkpoint.  When it lies
      below our previous position this is a rollback: the committed entries
      still in the log re-execute deterministically on the restored state.
@@ -923,8 +712,8 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   if seq > t.h then begin
     t.h <- seq;
     t.stable_digest <- combined;
-    Hashtbl.replace t.own_cps seq combined;
-    discard_log_below t seq
+    Hashtbl.replace t.log.own_cps seq combined;
+    Log.discard_below t.log seq
   end;
   t.fetch_in_progress <- None;
   if t.status = Fetching then begin
@@ -932,8 +721,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
       (* The fetch interrupted an unresolved view change: stay in it, with
          its escalation timer re-armed, until NEW-VIEW or abandonment. *)
       t.status <- View_changing;
-      t.vc_timer <-
-        Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:t.view)
+      arm_vc_timer t
     end
     else t.status <- Normal
   end;
@@ -951,15 +739,6 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
 
 (* --- view changes -------------------------------------------------------- *)
 
-let prepared_proofs t =
-  Hashtbl.fold
-    (fun seq entry acc ->
-      if seq > t.h then
-        match entry.prepared_proof with Some p -> p :: acc | None -> acc
-      else acc)
-    t.entries []
-  |> List.sort (fun a b -> Int.compare a.M.pp_seq b.M.pp_seq)
-
 let vc_table t view =
   match Hashtbl.find_opt t.vcs view with
   | Some tbl -> tbl
@@ -968,52 +747,17 @@ let vc_table t view =
     Hashtbl.replace t.vcs view tbl;
     tbl
 
-(* Compute the new-view pre-prepare set O from a view-change set.  The
-   rebuilt window is capped at [log_window] slots below [max_s]: honest
-   view-changes only carry prepared proofs within one window of their
-   stable checkpoint, so the cap is invisible to them, while a Byzantine
-   proof claiming a far-away [pp_seq] can no longer make this loop (and
-   the pre-prepares it allocates) arbitrarily long. *)
-let compute_o ~log_window v' (vc_list : M.view_change list) =
-  let min_s = List.fold_left (fun acc vc -> max acc vc.M.last_stable) 0 vc_list in
-  let max_s =
-    List.fold_left
-      (fun acc vc ->
-        List.fold_left (fun acc p -> max acc p.M.pp_seq) acc vc.M.prepared)
-      min_s vc_list
-  in
-  let count = min (max_s - min_s) log_window in
-  let o = ref [] in
-  for k = 0 to count - 1 do
-    let seq = max_s - k in
-    let best =
-      List.fold_left
-        (fun acc vc ->
-          List.fold_left
-            (fun acc p ->
-              if p.M.pp_seq <> seq then acc
-              else
-                match acc with
-                | Some b when b.M.pp_view >= p.M.pp_view -> acc
-                | Some _ | None -> Some p)
-            acc vc.M.prepared)
-        None vc_list
-    in
-    let pp =
-      match best with
-      | Some p ->
-        {
-          M.view = v';
-          seq;
-          digest = p.M.pp_digest;
-          requests = p.M.pp_requests;
-          nondet = p.M.pp_nondet;
-        }
-      | None -> { M.view = v'; seq; digest = ordering_digest [] ""; requests = []; nondet = "" }
-    in
-    o := pp :: !o
-  done;
-  (min_s, !o)
+(* Back to normal operation in view [v] with the base timeout: a NEW-VIEW
+   was installed, or the view change was abandoned for the group's view
+   ([installed = false]), which records no view-change duration. *)
+let leave_view_change t v ~installed =
+  t.view <- v;
+  t.status <- Normal;
+  if installed then observe_span t.obs.m_view_change ~since:t.obs.vc_started ~until:(now t);
+  t.obs.vc_started <- -1L;
+  t.resume_vc_after_fetch <- false;
+  t.vc_timeout_us <- t.config.viewchange_timeout_us;
+  cancel_vc_timer t
 
 let rec do_view_change t v' =
   if v' > t.view || (v' = t.view && t.status = Normal) then begin
@@ -1027,42 +771,31 @@ let rec do_view_change t v' =
         M.new_view = v';
         last_stable = t.h;
         stable_digest = t.stable_digest;
-        prepared = prepared_proofs t;
+        prepared = Log.prepared_proofs t.log ~above:t.h;
         replica = t.id;
       }
     in
     Hashtbl.replace (vc_table t v') t.id vc;
-    broadcast t (M.View_change vc);
+    send t (M.View_change vc);
     (* Escalate with a doubled (but bounded) timeout if this view change
        stalls. *)
     t.vc_timeout_us <- min (t.vc_timeout_us * 2) (20 * t.config.viewchange_timeout_us);
-    t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:v');
+    arm_vc_timer t;
     check_new_view t v'
   end
 
-and install_new_view t v' min_s (o : M.pre_prepare list) =
-  t.view <- v';
-  t.status <- Normal;
-  observe_span t.obs.m_view_change ~since:t.obs.vc_started ~until:(now t);
-  t.obs.vc_started <- -1L;
-  t.resume_vc_after_fetch <- false;
-  t.vc_timeout_us <- t.config.viewchange_timeout_us;
-  cancel_vc_timer t;
+and install_new_view t ~min_s (nv : M.new_view) =
+  let v' = nv.nv_view and o = nv.nv_pre_prepares in
+  leave_view_change t v' ~installed:true;
   (* Certificates from earlier views are void in the new view. *)
   List.iter
     (fun (pp : M.pre_prepare) ->
-      let entry = get_entry t pp.seq in
+      let entry = Log.entry t.log pp.seq in
       if not entry.committed then begin
-        entry.pre_prepare <- Some pp;
-        entry.t_pp <- now t;
-        clear_votes entry.prepares;
-        if not entry.sent_commit then clear_votes entry.commits;
-        entry.prepared_proof <- None;
-        entry.sent_commit <- false;
+        Log.reset_slot entry (Some pp) ~t_pp:(now t) ~keep_commits:entry.sent_commit;
         if not (is_primary t) then begin
           entry.prepares.(t.id) <- Some pp.digest;
-          broadcast t
-            (M.Prepare { view = v'; seq = pp.seq; digest = pp.digest; replica = t.id })
+          send t (M.Prepare { view = v'; seq = pp.seq; digest = pp.digest; replica = t.id })
         end
       end)
     o;
@@ -1075,7 +808,7 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
     | Some target -> start_fetch_internal t target
     | None -> ()
   end;
-  List.iter (fun (pp : M.pre_prepare) -> maybe_prepared t pp.seq (get_entry t pp.seq)) o;
+  List.iter (fun (pp : M.pre_prepare) -> maybe_prepared t pp.seq (Log.entry t.log pp.seq)) o;
   if has_pending t then start_vc_timer t;
   drain_queue t;
   (* The new primary immediately proposes the client requests it knows are
@@ -1083,46 +816,35 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
      retransmission landing inside the view's timeout window. *)
   if is_primary t then
     List.iter
-      (fun (_, cr) ->
-        match cr.pending with
-        | Some r when r.timestamp > cr.last_ts -> propose t r
-        | Some _ | None -> ())
-      (sorted_bindings t.clients)
+      (fun (cr : Client_table.client) ->
+        match cr.pending with Some r -> propose t r | None -> ())
+      (Client_table.pending_clients t.clients)
 
 and check_new_view t v' =
   if primary_of t v' = t.id && t.status = View_changing && t.view = v' then begin
     let tbl = vc_table t v' in
     if Hashtbl.length tbl >= Types.quorum t.config then begin
-      let vc_list = List.map snd (sorted_bindings tbl) in
-      let min_s, o = compute_o ~log_window:t.config.log_window v' vc_list in
+      let vc_list = List.map snd (Log.sorted_bindings tbl) in
       let summary = List.map (fun vc -> (vc.M.replica, vc.M.last_stable)) vc_list in
-      let nv = { M.nv_view = v'; nv_view_changes = summary; nv_pre_prepares = o } in
+      let nv =
+        {
+          M.nv_view = v';
+          nv_view_changes = summary;
+          nv_pre_prepares = View_change.compute_o ~log_window:t.config.log_window v' vc_list;
+        }
+      in
       t.last_nv <- Some nv;
-      broadcast t (M.New_view nv);
-      install_new_view t v' min_s o
+      send t (M.New_view nv);
+      install_new_view t ~min_s:(View_change.min_s summary) nv
     end
   end
 
-(* A view-change passes the MAC check on its own authority, so every field
-   is still just the sender's claim.  Before it enters the [vcs] table —
-   where [compute_o] and the liveness rule consume it as fact — require
-   the claims to be mutually plausible: non-negative watermarks, and every
-   prepared proof within one log window above the stable checkpoint (the
-   only place an honest replica can have prepared anything).  A proof
-   outside that range could otherwise widen the reconstructed new-view
-   window to an attacker-chosen span. *)
-let vc_sane t (vc : M.view_change) =
-  vc.last_stable >= 0
-  && List.for_all
-       (fun (p : M.prepared_proof) ->
-         p.pp_seq > vc.last_stable
-         && p.pp_seq <= vc.last_stable + t.config.log_window
-         && p.pp_view >= 0 && p.pp_view < vc.new_view
-         && List.length p.pp_requests <= t.config.batch_max)
-       vc.prepared
-
 let handle_view_change t sender (vc : M.view_change) =
-  if not (vc_sane t vc) then reject_insane t
+  (* Only active replicas vote for a view: f+1 VIEW-CHANGEs from clients
+     would otherwise push a replica into a new view, and 2f+1 would make
+     the new primary install an O set of their choosing. *)
+  if not (Types.is_replica t.config sender && View_change.vc_sane t.config vc) then
+    reject_insane t
   else if sender = vc.replica && vc.new_view > 0 then begin
     Hashtbl.replace (vc_table t vc.new_view) sender vc;
     (* Liveness rule: join the smallest view for which f+1 replicas already
@@ -1134,8 +856,8 @@ let handle_view_change t sender (vc : M.view_change) =
       let votes =
         List.concat_map
           (fun (v, tbl) ->
-            if v > t.view then List.map (fun (r, _) -> (r, v)) (sorted_bindings tbl) else [])
-          (sorted_bindings t.vcs)
+            if v > t.view then List.map (fun (r, _) -> (r, v)) (Log.sorted_bindings tbl) else [])
+          (Log.sorted_bindings t.vcs)
       in
       let voters = List.sort_uniq Int.compare (List.map fst votes) in
       if List.length voters >= Types.weak_quorum t.config then begin
@@ -1146,23 +868,6 @@ let handle_view_change t sender (vc : M.view_change) =
     check_new_view t vc.new_view
   end
 
-(* Shape check on a NEW-VIEW before we adopt any of its numbers: the
-   claimed stable seqnos must be non-negative and every bundled
-   pre-prepare must sit inside one log window above the highest claimed
-   checkpoint, in the new view itself.  Without this a Byzantine primary
-   could teleport [next_seq] (and thus the whole log window) to an
-   arbitrary seqno of its choosing. *)
-let nv_sane t (nv : M.new_view) =
-  let min_s = List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes in
-  nv.nv_view > 0
-  && List.for_all (fun (_, s) -> s >= 0) nv.nv_view_changes
-  && List.for_all
-       (fun (pp : M.pre_prepare) ->
-         pp.view = nv.nv_view
-         && pp.seq > min_s
-         && pp.seq <= min_s + t.config.log_window)
-       nv.nv_pre_prepares
-
 let handle_new_view t sender (nv : M.new_view) =
   let v' = nv.nv_view in
   if sender = primary_of t v' && v' >= t.view && sender <> t.id then begin
@@ -1172,29 +877,17 @@ let handle_new_view t sender (nv : M.new_view) =
     let vcs_used =
       List.filter_map (fun (r, _) -> Hashtbl.find_opt tbl r) nv.nv_view_changes
     in
-    let verifiable = List.length vcs_used = List.length nv.nv_view_changes in
-    let sane = nv_sane t nv in
-    if not sane then reject_insane t;
+    let min_s = View_change.min_s nv.nv_view_changes in
     let ok =
-      if not sane then false
-      else if not verifiable then List.length nv.nv_view_changes >= Types.quorum t.config
-      else begin
-        let min_s, o = compute_o ~log_window:t.config.log_window v' vcs_used in
-        ignore min_s;
-        List.length o = List.length nv.nv_pre_prepares
-        && List.for_all2
-             (fun (a : M.pre_prepare) (b : M.pre_prepare) ->
-               a.seq = b.seq && Digest.equal a.digest b.digest)
-             o nv.nv_pre_prepares
+      if not (View_change.nv_sane t.config ~min_s nv) then begin
+        reject_insane t;
+        false
       end
+      else if List.compare_lengths vcs_used nv.nv_view_changes <> 0 then
+        List.length nv.nv_view_changes >= Types.quorum t.config
+      else View_change.o_matches ~log_window:t.config.log_window nv vcs_used
     in
-    if ok then begin
-      let min_s =
-        List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes
-      in
-      install_new_view t v' min_s nv.nv_pre_prepares
-    end
-    else do_view_change t (v' + 1)
+    if ok then install_new_view t ~min_s nv else do_view_change t (v' + 1)
   end
 
 (* --- retransmission / progress timer ------------------------------------ *)
@@ -1207,30 +900,19 @@ let arm_status_timer t =
 let on_status_timer t =
   (* Re-announce the latest own checkpoint so laggards find fetch targets,
      and gossip progress so peers can retransmit what we are missing. *)
-  (match Hashtbl.find_opt t.own_cps t.h with
-  | Some d when t.h > 0 ->
-    broadcast_group t (M.Checkpoint { seq = t.h; digest = d; replica = t.id })
+  (match Hashtbl.find_opt t.log.own_cps t.h with
+  | Some d when t.h > 0 -> broadcast_checkpoint t ~seq:t.h d
   | Some _ | None -> ());
-  broadcast t
-    (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id });
+  send t (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id });
   let stalled = t.last_exec = t.last_progress_exec in
   if stalled && t.status = Normal then begin
     (* Retransmit protocol messages for in-flight slots, in seqno order. *)
     List.iter
-      (fun (seq, entry) ->
-        if seq > t.last_exec then begin
-          match entry.pre_prepare with
-          | Some pp when pp.view = t.view ->
-            if is_primary t then send_pre_prepare t entry pp Resend_status
-            else if Option.is_some entry.prepares.(t.id) then
-              broadcast t
-                (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
-            if entry.sent_commit then
-              broadcast t
-                (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
-          | Some _ | None -> ()
-        end)
-      (sorted_bindings t.entries);
+      (fun (seq, (entry : Log.entry)) ->
+        match entry.pre_prepare with
+        | Some pp when seq > t.last_exec && pp.view = t.view -> resend_slot t seq entry pp
+        | Some _ | None -> ())
+      (Log.sorted_bindings t.log.entries);
     maybe_fetch_check t ~stalled:true
   end;
   t.last_progress_exec <- t.last_exec;
@@ -1258,93 +940,89 @@ let standby_note_synced t ~seq ~digest =
     t.h <- seq;
     t.stable_digest <- digest;
     t.last_exec <- seq;
-    discard_log_below t seq
+    Log.discard_below t.log seq
   end
 
 (* A peer announced it is behind us: retransmit, directly to it, the
    protocol messages it needs to make progress — our pre-prepares if we led
    their view of those slots, plus our prepares, commits and checkpoint.
    This is PBFT's status/retransmission mechanism, which gives liveness when
-   a replica missed messages while rebooting. *)
+   a replica missed messages while rebooting.  Only active replicas take
+   part: a client's STATUS would otherwise buy it a replay of the log. *)
 let handle_status t sender (st : M.status_msg) =
-  if sender = st.st_replica then Hashtbl.replace t.peer_views sender st.st_view;
-  (* View abandonment: a replica that escalated views alone (e.g. around a
-     proactive recovery) can never gather 2f+1 VIEW-CHANGEs — had f+1 peers
-     been with it, the group would have joined.  When a quorum of peers
-     reports lower views and we hold no prepared certificate above them,
-     rejoin the group's view; nothing could have committed in ours. *)
-  if sender = st.st_replica && t.status = View_changing && st.st_view < t.view then begin
-    let lower, target =
-      List.fold_left
-        (fun (count, best) (_, v) ->
-          if v < t.view then (count + 1, max best v) else (count, best))
-        (0, 0) (sorted_bindings t.peer_views)
-    in
-    let prepared_above =
-      List.exists
-        (fun (_, e) ->
-          match e.prepared_proof with Some p -> p.M.pp_view > target | None -> false)
-        (sorted_bindings t.entries)
-    in
-    if lower >= Types.quorum t.config - 1 && not prepared_above then begin
-      t.view <- target;
-      t.status <- Normal;
-      t.obs.vc_started <- -1L;
-      t.vc_timeout_us <- t.config.viewchange_timeout_us;
-      cancel_vc_timer t;
-      if has_pending t then start_vc_timer t
-    end
-  end;
-  (* A peer stuck in an older view missed the view change while it was down
-     (proactive recovery, crash): a replica rejoining the group this way has
-     no other path back, because clients have moved on to the new primary and
-     only pending client requests escalate views locally.  The primary that
-     installed the current view retransmits its NEW-VIEW, which the laggard
-     verifies and installs through the normal quorum-trusting path. *)
-  if sender = st.st_replica && st.st_view < t.view then begin
-    match t.last_nv with
-    | Some nv when nv.M.nv_view = t.view && primary_of t t.view = t.id ->
-      send_one t ~dst:sender (M.New_view nv)
-    | Some _ | None -> ()
-  end;
-  if sender = st.st_replica && st.st_view <= t.view then begin
-    (* Checkpoint proof so it can garbage-collect / find fetch targets. *)
-    (match Hashtbl.find_opt t.own_cps t.h with
-    | Some d when t.h > st.st_h -> send_one t ~dst:sender (M.Checkpoint { seq = t.h; digest = d; replica = t.id })
+  if not (Types.is_replica t.config sender) then reject_insane t
+  else if sender = st.st_replica then begin
+    t.peer_views.(sender) <- st.st_view;
+    (* View abandonment: a replica that escalated views alone (e.g. around
+       a proactive recovery) can never gather 2f+1 VIEW-CHANGEs — had f+1
+       peers been with it, the group would have joined.  When a quorum of
+       peers reports lower views and we hold no prepared certificate above
+       them, rejoin the group's view; nothing could have committed in
+       ours. *)
+    if t.status = View_changing && st.st_view < t.view then begin
+      let lower = ref 0 and target = ref 0 in
+      Array.iter
+        (fun v ->
+          if v < t.view then begin
+            incr lower;
+            target := max !target v
+          end)
+        t.peer_views;
+      let prepared_above =
+        List.exists
+          (fun (_, (e : Log.entry)) ->
+            match e.prepared_proof with Some p -> p.M.pp_view > !target | None -> false)
+          (Log.sorted_bindings t.log.entries)
+      in
+      if !lower >= Types.quorum t.config - 1 && not prepared_above then begin
+        leave_view_change t !target ~installed:false;
+        if has_pending t then start_vc_timer t
+      end
+    end;
+    (* A peer stuck in an older view missed the view change while it was
+       down (proactive recovery, crash): a replica rejoining the group this
+       way has no other path back, because clients have moved on to the new
+       primary and only pending client requests escalate views locally.
+       The primary that installed the current view retransmits its
+       NEW-VIEW, which the laggard verifies and installs through the normal
+       quorum-trusting path. *)
+    (match t.last_nv with
+    | Some nv when st.st_view < t.view && nv.M.nv_view = t.view && is_primary t ->
+      send ~dst:sender t (M.New_view nv)
     | Some _ | None -> ());
-    if st.st_view = t.view && st.st_last_exec < t.last_exec then begin
-      let upper = min t.last_exec (st.st_h + t.config.log_window) in
-      (* A Byzantine STATUS can claim an arbitrarily low [st_last_exec];
-         iterating from it would replay (and allocate protocol messages
-         for) an attacker-chosen number of slots.  An honest laggard's gap
-         within [upper] never exceeds the log window, so cap the replay
-         count there and serve the top of the range. *)
-      let count = min (upper - st.st_last_exec) t.config.log_window in
-      let unreplayable = ref false in
-      for off = 1 to count do
-        let seq = upper - count + off in
-        (match Hashtbl.find_opt t.entries seq with
-        | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
-          if primary_of t pp.view = t.id then
-            send_pre_prepare ~dst:sender t entry pp Resend_status
-          else if Option.is_some entry.prepares.(t.id) then
-            send_one t ~dst:sender
-              (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
-          if entry.sent_commit then
-            send_one t ~dst:sender
-              (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
-        | Some { pre_prepare = Some pp; committed = true; _ } when pp.view < t.view ->
-          (* Committed under an earlier primary: the agreement messages are
-             void in this view and will never be re-run. *)
-          unreplayable := true
-        | Some _ -> ()
-        | None -> unreplayable := true)
-      done;
-      (* The laggard cannot be fed messages for part of its gap; give it a
-         state-transfer target instead by checkpointing our current state
-         off-schedule (every up-to-date replica does the same on seeing the
-         laggard's STATUS, so the checkpoint gets certified). *)
-      if !unreplayable && not (Hashtbl.mem t.own_cps t.last_exec) then take_checkpoint t
+    if st.st_view <= t.view then begin
+      (* Checkpoint proof so it can garbage-collect / find fetch targets. *)
+      (match Hashtbl.find_opt t.log.own_cps t.h with
+      | Some d when t.h > st.st_h ->
+        send ~dst:sender t (M.Checkpoint { seq = t.h; digest = d; replica = t.id })
+      | Some _ | None -> ());
+      if st.st_view = t.view && st.st_last_exec < t.last_exec then begin
+        let upper = min t.last_exec (st.st_h + t.config.log_window) in
+        (* A Byzantine STATUS can claim an arbitrarily low [st_last_exec];
+           iterating from it would replay (and allocate protocol messages
+           for) an attacker-chosen number of slots.  An honest laggard's gap
+           within [upper] never exceeds the log window, so cap the replay
+           count there and serve the top of the range. *)
+        let count = min (upper - st.st_last_exec) t.config.log_window in
+        let dst = Some sender and unreplayable = ref false in
+        for off = 1 to count do
+          let seq = upper - count + off in
+          match Hashtbl.find_opt t.log.entries seq with
+          | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
+            resend_slot ?dst t seq entry pp
+          | Some { pre_prepare = Some pp; committed = true; _ } when pp.view < t.view ->
+            (* Committed under an earlier primary: the agreement messages
+               are void in this view and will never be re-run. *)
+            unreplayable := true
+          | Some _ -> ()
+          | None -> unreplayable := true
+        done;
+        (* The laggard cannot be fed messages for part of its gap; give it a
+           state-transfer target instead by checkpointing our current state
+           off-schedule (every up-to-date replica does the same on seeing
+           the laggard's STATUS, so the checkpoint gets certified). *)
+        if !unreplayable && not (Hashtbl.mem t.log.own_cps t.last_exec) then take_checkpoint t
+      end
     end
   end
 
@@ -1429,11 +1107,8 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       behavior = Honest;
       view = 0;
       status = Normal;
-      entries = Hashtbl.create 64;
-      clients = Hashtbl.create 16;
-      n_pending = 0;
-      cp_msgs = Hashtbl.create 16;
-      own_cps = Hashtbl.create 16;
+      log = Log.create config.n;
+      clients = Client_table.create ();
       h = 0;
       stable_digest = Digest.zero;
       last_exec = 0;
@@ -1449,7 +1124,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       external_pending = 0;
       in_try_execute = false;
       exec_again = false;
-      peer_views = Hashtbl.create 8;
+      peer_views = Array.make config.n max_int;
       last_nv = None;
       stats =
         {
@@ -1474,15 +1149,11 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
   in
   (* Initial checkpoint at seqno 0 so watermark logic is uniform. *)
   let d = checkpoint_now t ~seq:0 in
-  Hashtbl.replace t.own_cps 0 d;
+  Hashtbl.replace t.log.own_cps 0 d;
   t.stable_digest <- d;
   t
 
 let id t = t.id
-
-let shard t = t.shard
-
-let role t = t.role
 
 (* --- cross-shard runtime hooks ------------------------------------------- *)
 
@@ -1512,5 +1183,3 @@ let status t = t.status
 let stats t = t.stats
 
 let set_behavior t b = t.behavior <- b
-
-let behavior t = t.behavior

@@ -47,8 +47,9 @@ type app = {
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
       (** Bring the service to the certified checkpoint [(seq, digest)]
           (asynchronously); the runtime calls {!fetch_complete} when done.
-          [digest] is the {e combined} checkpoint digest (see
-          {!checkpoint_digest}). *)
+          [digest] is the {e combined} checkpoint digest that CHECKPOINT
+          messages bind: [combine [app; client]], where [client] digests
+          the last-reply rows. *)
 }
 
 val always_ready : client:int -> timestamp:int64 -> operation:string -> bool
@@ -149,14 +150,7 @@ val create :
 
 val id : t -> int
 
-val shard : t -> int
-(** The agreement instance this replica serves; 0 when unsharded. *)
-
-val role : t -> role
-
 val view : t -> Types.view
-
-val is_primary : t -> bool
 
 val last_executed : t -> Types.seqno
 
@@ -167,8 +161,6 @@ val status : t -> status
 val stats : t -> stats
 
 val set_behavior : t -> behavior -> unit
-
-val behavior : t -> behavior
 
 val receive : t -> Message.envelope -> unit
 (** Handle one authenticated protocol message (invalid MACs are counted and
@@ -183,10 +175,6 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
     alongside the wire bytes. *)
 
 val on_timer : t -> tag:string -> payload:int -> unit
-
-val checkpoint_digest : app_digest:Digest.t -> client_digest:Digest.t -> Digest.t
-(** The combined digest bound by CHECKPOINT messages:
-    [combine [app; client]]. *)
 
 val fetch_complete :
   t -> seq:Types.seqno -> app_digest:Digest.t -> client_rows:(int * int64 * string) list -> unit

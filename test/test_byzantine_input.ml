@@ -71,10 +71,71 @@ let test_client_votes_rejected () =
   Alcotest.(check int) "replica votes still execute the slot" 1
     (Replica.last_executed b.replica)
 
+(* Only active replicas take part in a view change or in STATUS gossip.
+   Clients share MAC keys with every replica, so each message below
+   authenticates, and each would move an honest replica if it counted:
+   - two clients' VIEW-CHANGEs are f+1 votes, enough to pull an idle
+     backup into view 1;
+   - three clients' VIEW-CHANGEs, each carrying a prepared proof for a
+     request nobody ordered, make a quorum with view 1's primary's own,
+     and it would broadcast a NEW-VIEW re-proposing that request;
+   - a client's STATUS claiming nothing executed would get the log
+     replayed to it, a PREPARE and a COMMIT per executed slot.
+   Each is rejected as insane instead, and replica VIEW-CHANGEs still
+   install view 1. *)
+let test_client_view_changes_rejected () =
+  let module L = Lone_replica in
+  let view_change ?(prepared = []) sender =
+    M.View_change
+      { new_view = 1; last_stable = 0; stable_digest = L.app_digest; prepared; replica = sender }
+  in
+  let new_views (l : L.t) =
+    List.filter (fun (_, (env : M.envelope)) -> String.equal (M.kind_label env.body) "NEW-VIEW") !(l.sent)
+  in
+  let idle = L.create ~id:2 in
+  List.iter (fun c -> L.deliver idle ~sender:c (view_change c)) [ 4; 5 ];
+  Alcotest.(check int) "idle backup stays in view 0" 0 (Replica.view idle.replica);
+  Alcotest.(check bool) "and keeps working" true (Replica.status idle.replica = Replica.Normal);
+  Alcotest.(check int) "client VIEW-CHANGEs counted" 2 (L.insane_count idle);
+  let p = L.create ~id:1 in
+  let forged = L.request ~client:6 1L in
+  let proof =
+    {
+      M.pp_view = 0;
+      pp_seq = 1;
+      pp_digest = (L.pre_prepare ~seq:1 [ forged ]).digest;
+      pp_requests = [ forged ];
+      pp_nondet = "";
+    }
+  in
+  List.iter (fun c -> L.deliver p ~sender:c (view_change ~prepared:[ proof ] c)) [ 4; 5; 6 ];
+  Alcotest.(check int) "view 1's primary stays in view 0" 0 (Replica.view p.replica);
+  Alcotest.(check int) "no NEW-VIEW sent" 0 (List.length (new_views p));
+  Alcotest.(check int) "forged VIEW-CHANGEs counted" 3 (Replica.stats p.replica).rejected_insane;
+  List.iter (fun r -> L.deliver p ~sender:r (view_change r)) [ 2; 3 ];
+  Alcotest.(check int) "replica VIEW-CHANGEs install view 1" 1 (Replica.view p.replica);
+  Alcotest.(check bool) "back to normal" true (Replica.status p.replica = Replica.Normal);
+  (match new_views p with
+  | [ (_, { M.body = M.New_view nv; _ }); _; _ ] ->
+    Alcotest.(check bool) "O holds no client-made request" true
+      (List.for_all (fun (pp : M.pre_prepare) -> pp.requests = []) nv.nv_pre_prepares)
+  | _ -> Alcotest.fail "expected one NEW-VIEW broadcast to three replicas");
+  let b = L.create ~id:1 in
+  for seq = 1 to 20 do
+    L.order b (L.pre_prepare ~seq [ L.request ~client:4 (Int64.of_int seq) ])
+  done;
+  Alcotest.(check int) "20 slots executed" 20 (Replica.last_executed b.replica);
+  b.sent := [];
+  L.deliver b ~sender:4 (M.Status { st_view = 0; st_last_exec = 0; st_h = 0; st_replica = 4 });
+  Alcotest.(check int) "client STATUS gets nothing back" 0 (List.length !(b.sent));
+  Alcotest.(check int) "client STATUS counted" 1 (L.insane_count b)
+
 let suite =
   [
     Alcotest.test_case "garbage bytes: counted, replica live" `Quick
       test_garbage_counted_and_dropped;
     Alcotest.test_case "well-formed body, bad MAC" `Quick test_wellformed_body_bad_mac;
     Alcotest.test_case "client-sealed votes rejected" `Quick test_client_votes_rejected;
+    Alcotest.test_case "client-sealed view changes and status rejected" `Quick
+      test_client_view_changes_rejected;
   ]

@@ -203,6 +203,54 @@ let test_status_resend_reuses_envelope () =
   Alcotest.(check int) "counted as a status resend" 1 (Replica.stats p.replica).pp_resent_status;
   Alcotest.(check int) "exported as a status resend" 1 (resent_counter p "status")
 
+(* A backup retransmits its part of a slot two ways: its stalled status
+   timer broadcasts it for the slots it has not executed, and a laggard's
+   STATUS gets it unicast for the executed slots the laggard lacks.  Both
+   send the same messages, our PREPARE and our COMMIT per slot and never a
+   PRE-PREPARE (only the primary's is worth resending).  Here slots 2 and 3
+   commit at backup 1 while slot 1 is missing, so the timer covers them;
+   once slot 1 arrives all three execute, and replica 3's STATUS showing
+   slot 1 executed asks for the same two. *)
+let test_status_and_timer_resend_same_slots () =
+  let b = L.create ~id:1 in
+  let slot seq = L.pre_prepare ~seq [ L.request ~client:4 (Int64.of_int seq) ] in
+  let resent ~dst =
+    List.rev !(b.sent)
+    |> List.filter_map (fun (d, (env : M.envelope)) ->
+           match env.body with
+           | M.Status _ -> None
+           | M.Prepare p when d = dst -> Some ("PREPARE", p.seq, p.digest)
+           | M.Commit c when d = dst -> Some ("COMMIT", c.seq, c.digest)
+           | body when d = dst -> Some (M.kind_label body, -1, Base_crypto.Digest_t.zero)
+           | _ -> None)
+  in
+  let votes =
+    Alcotest.(list (triple string int (testable Base_crypto.Digest_t.pp Base_crypto.Digest_t.equal)))
+  in
+  L.order b (slot 2);
+  L.order b (slot 3);
+  Alcotest.(check int) "slot 1 missing: nothing executes" 0 (Replica.last_executed b.replica);
+  b.sent := [];
+  Replica.on_timer b.replica ~tag:"status" ~payload:0;
+  let expected =
+    List.concat_map
+      (fun seq ->
+        let d = (slot seq).digest in
+        [ ("PREPARE", seq, d); ("COMMIT", seq, d) ])
+      [ 2; 3 ]
+  in
+  List.iter
+    (fun dst ->
+      Alcotest.check votes (Printf.sprintf "timer resends to replica %d" dst) expected
+        (resent ~dst))
+    [ 0; 2; 3 ];
+  L.order b (slot 1);
+  Alcotest.(check int) "all three execute" 3 (Replica.last_executed b.replica);
+  b.sent := [];
+  L.deliver b ~sender:3 (M.Status { st_view = 0; st_last_exec = 1; st_h = 0; st_replica = 3 });
+  Alcotest.check votes "STATUS answered with the same messages" expected (resent ~dst:3);
+  Alcotest.(check int) "to the laggard only" (List.length expected) (List.length !(b.sent))
+
 let suite =
   [
     Alcotest.test_case "relayed request arms, execution disarms" `Quick
@@ -219,4 +267,6 @@ let suite =
       test_resend_reseals_after_key_refresh;
     Alcotest.test_case "status resend reuses the sealed pre-prepare" `Quick
       test_status_resend_reuses_envelope;
+    Alcotest.test_case "status reply and stalled timer resend the same slots" `Quick
+      test_status_and_timer_resend_same_slots;
   ]
