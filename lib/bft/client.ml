@@ -114,8 +114,9 @@ let rec start_request t operation read_only callback =
     }
   in
   t.current <- Some p;
-  (* First transmission goes to all replicas: backups relay to the primary
-     and start their progress timers, which also covers primary failure. *)
+  (* First transmission goes to all replicas: the primary orders it, and
+     backups start their progress timers, which covers primary failure,
+     and relay it on their status tick if its pre-prepare is slow. *)
   send_request t request;
   p.timer <-
     t.net.set_timer ~after_us:t.config.client_timeout_us ~tag:"client"

@@ -4,6 +4,7 @@ type client = {
   mutable last_ts : int64;
   mutable last_reply : M.reply option;
   mutable pending : M.request option;
+  mutable pending_env : M.envelope option;
   mutable pending_since : int64;
   mutable assigned_ts : int64;
   mutable assigned_seq : Types.seqno;
@@ -24,6 +25,7 @@ let find t c =
         last_ts = -1L;
         last_reply = None;
         pending = None;
+        pending_env = None;
         pending_since = -1L;
         assigned_ts = -1L;
         assigned_seq = -1;
@@ -36,36 +38,54 @@ let any_pending t = t.n_pending > 0
 
 (* Every write to [pending] goes through here, so [n_pending] answers "is
    any client waiting?" without scanning the table. *)
-let set_pending t cr p =
+let set_pending t cr p env =
   (match (cr.pending, p) with
   | None, Some _ -> t.n_pending <- t.n_pending + 1
   | Some _, None -> t.n_pending <- t.n_pending - 1
   | Some _, Some _ | None, None -> ());
-  cr.pending <- p
+  cr.pending <- p;
+  cr.pending_env <- env
 
-let mark_pending t cr (r : M.request) ~waiting_since =
+let mark_pending ?env t cr (r : M.request) ~waiting_since =
   match cr.pending with
   | Some p when p.timestamp >= r.timestamp -> ()
   | Some _ | None ->
     if r.timestamp > cr.last_ts then begin
-      if cr.pending = None then cr.pending_since <- waiting_since;
-      set_pending t cr (Some r)
+      cr.pending_since <- waiting_since;
+      set_pending t cr (Some r) env
     end
 
-let stop_wait cr =
-  let since = cr.pending_since in
-  cr.pending_since <- -1L;
-  since
+let stop_wait cr (r : M.request) =
+  match cr.pending with
+  | Some p when p.timestamp > r.timestamp -> -1L
+  | Some _ | None ->
+    let since = cr.pending_since in
+    cr.pending_since <- -1L;
+    since
 
 let assign cr (r : M.request) seq =
   cr.assigned_ts <- r.timestamp;
   cr.assigned_seq <- seq
 
+let queued cr (r : M.request) = Int64.equal r.timestamp cr.assigned_ts && cr.assigned_seq = 0
+
+let enqueue cr r =
+  let fresh = not (queued cr r) in
+  if fresh then assign cr r 0;
+  fresh
+
+(* A reset table ([install]) forgets the mark, so a request newer than the
+   last assignment counts as queued too. *)
+let dequeue cr (r : M.request) seq =
+  let fresh = r.timestamp > cr.last_ts && (r.timestamp > cr.assigned_ts || queued cr r) in
+  if fresh then assign cr r seq;
+  fresh
+
 let executed t cr (r : M.request) reply =
   cr.last_ts <- r.timestamp;
   cr.last_reply <- reply;
   match cr.pending with
-  | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
+  | Some p when p.timestamp <= r.timestamp -> set_pending t cr None None
   | Some _ | None -> ()
 
 let pending_clients t =

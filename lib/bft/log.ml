@@ -36,11 +36,13 @@ type t = {
   n : int;  (* active replicas: the width of every vote table *)
   entries : (Types.seqno, entry) Hashtbl.t;
   cp_msgs : (Types.seqno, votes) Hashtbl.t;  (* CHECKPOINT votes per seqno *)
+  far_cps : Types.seqno array;  (* per replica: its vote above the window, -1 for none *)
   own_cps : (Types.seqno, Digest.t) Hashtbl.t;  (* our own checkpoint digests *)
 }
 
 let create n =
-  { n; entries = Hashtbl.create 64; cp_msgs = Hashtbl.create 16; own_cps = Hashtbl.create 16 }
+  { n; entries = Hashtbl.create 64; cp_msgs = Hashtbl.create 16; far_cps = Array.make n (-1);
+    own_cps = Hashtbl.create 16 }
 
 (* Deterministic traversal of an int-keyed table: snapshot the bindings and
    sort by key.  Table scans go through this, so retransmission order and
@@ -119,6 +121,23 @@ let cp_votes log seq =
     let votes = Array.make log.n None in
     Hashtbl.replace log.cp_msgs seq votes;
     votes
+
+(* Replica [r]'s CHECKPOINT vote for [seq].  Above the log window's top
+   only each replica's highest vote is kept (PBFT's rule), so however many
+   far-off seqnos a Byzantine replica names, the tables number at most the
+   window's seqnos plus one per replica. *)
+let record_checkpoint log ~top ~seq r digest =
+  let prev = log.far_cps.(r) in
+  if seq <= top then (cp_votes log seq).(r) <- Some digest
+  else if seq > prev then begin
+    (match Hashtbl.find_opt log.cp_msgs prev with
+    | Some votes when prev > top ->
+      votes.(r) <- None;
+      if Array.for_all Option.is_none votes then Hashtbl.remove log.cp_msgs prev
+    | Some _ | None -> ());
+    log.far_cps.(r) <- seq;
+    (cp_votes log seq).(r) <- Some digest
+  end
 
 (* The first digest, in replica-id order, voted by at least [weak]
    replicas. *)

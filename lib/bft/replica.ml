@@ -155,10 +155,10 @@ let observe_span hist ~since ~until =
   if Int64.compare since 0L >= 0 && Int64.compare until since >= 0 then
     Base_obs.Metrics.observe hist (Int64.to_float (Int64.sub until since))
 
-(* [cr]'s request got its pre-prepare in [entry]: close the wait that began
-   when the request first arrived here. *)
-let pre_prepare_span t cr (entry : Log.entry) =
-  observe_span t.obs.m_pre_prepare ~since:(Client_table.stop_wait cr) ~until:entry.t_pp
+(* [cr]'s request [r] got its pre-prepare in [entry]: close the wait that
+   began when the request first arrived here. *)
+let pre_prepare_span t cr r (entry : Log.entry) =
+  observe_span t.obs.m_pre_prepare ~since:(Client_table.stop_wait cr r) ~until:entry.t_pp
 
 (* A well-formed, authenticated message whose claims the protocol cannot
    accept. *)
@@ -456,7 +456,7 @@ and assign t (batch : M.request list) =
     (fun (r : M.request) ->
       let cr = Client_table.find t.clients r.client in
       Client_table.assign cr r seq;
-      pre_prepare_span t cr entry)
+      pre_prepare_span t cr r entry)
     batch;
   (match t.behavior with
   | Equivocate ->
@@ -484,13 +484,18 @@ and propose t (r : M.request) =
     in
     match assigned with
     | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
-      (* Assigned in this view already: retransmit so lost copies recover. *)
-      send_pre_prepare t entry pp Resend_relay
+      (* Assigned in this view already: resend to each backup whose PREPARE
+         we lack, so lost copies recover. *)
+      for b = 0 to t.config.n - 1 do
+        if b <> t.id && Option.is_none entry.prepares.(b) then
+          send_pre_prepare ~dst:b t entry pp Resend_relay
+      done
     | Some _ | None ->
-      if window_full t || inflight t >= t.config.max_inflight then
+      if window_full t || inflight t >= t.config.max_inflight then begin
         (* Defer: the request is ordered in a batch as soon as earlier
            instances make progress (this is where batching comes from). *)
-        Queue.add r t.queued_requests
+        if Client_table.enqueue cr r then Queue.add r t.queued_requests
+      end
       else
         (* Fresh assignment, including when an earlier assignment died with
            its view (it never reached a quorum, or the new-view O set would
@@ -509,8 +514,9 @@ and drain_queue t =
         let size = ref 0 in
         while !size < t.config.batch_max && not (Queue.is_empty t.queued_requests) do
           let r = Queue.pop t.queued_requests in
-          let cr = Client_table.find t.clients r.M.client in
-          if r.M.timestamp > cr.assigned_ts && r.M.timestamp > cr.last_ts then begin
+          (* Taken for the next slot at once, so a batch holds it once. *)
+          if Client_table.dequeue (Client_table.find t.clients r.M.client) r (t.next_seq + 1)
+          then begin
             batch := r :: !batch;
             incr size
           end
@@ -548,16 +554,11 @@ let handle_request t env (r : M.request) =
       | None -> ()
     end
     else begin
-      Client_table.mark_pending t.clients cr r ~waiting_since:(now t);
-      if t.status = Normal then begin
-        if is_primary t then propose t r
-        else begin
-          (* Relay the client's own envelope so the primary can check the
-             client's MAC, and start the progress timer. *)
-          t.net.send ~dst:(primary_of t t.view) env;
-          start_vc_timer t
-        end
-      end
+      (* The client multicast the request, so a backup only starts its
+         progress timer; the status timer relays the request if its
+         pre-prepare is slow to come. *)
+      Client_table.mark_pending ~env t.clients cr r ~waiting_since:(now t);
+      if t.status = Normal then if is_primary t then propose t r else start_vc_timer t
     end
   end
 
@@ -603,12 +604,12 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
           (* Internal requests are never pending: [execute_entry] sends them
              no reply, so a mark made here would keep the progress timer
              armed.  The pre-prepare span is only meaningful when the request
-             was already known here (relayed to the primary earlier);
+             was already known here (from the client's own copy);
              requests first learned from the pre-prepare itself start no
              wait, which would record 0. *)
           if r.client >= 0 && not (Types.is_internal_client r.client) then begin
             let cr = Client_table.find t.clients r.client in
-            pre_prepare_span t cr entry;
+            pre_prepare_span t cr r entry;
             Client_table.mark_pending t.clients cr r ~waiting_since:(-1L)
           end)
         pp.requests;
@@ -681,7 +682,7 @@ let handle_checkpoint t sender (c : M.checkpoint) =
      hold if clients (or standbys) could stuff the table. *)
   if not (Types.is_replica t.config sender) then reject_insane t
   else if sender = c.replica && c.seq > t.h then begin
-    (Log.cp_votes t.log c.seq).(sender) <- Some c.digest;
+    Log.record_checkpoint t.log ~top:(t.h + t.config.log_window) ~seq:c.seq sender c.digest;
     if t.role = Active then begin
       maybe_stable t c.seq;
       maybe_fetch_check t ~stalled:false
@@ -904,6 +905,18 @@ let on_status_timer t =
   | Some d when t.h > 0 -> broadcast_checkpoint t ~seq:t.h d
   | Some _ | None -> ());
   send t (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id });
+  (* A backup relays, in the client's own envelope (so the primary checks
+     the client's MAC), each request still waiting for its pre-prepare.
+     The tick comes before the progress timer, so a primary that missed
+     the client's copy orders it without a view change. *)
+  if t.status = Normal && not (is_primary t) then
+    List.iter
+      (fun (cr : Client_table.client) ->
+        match cr.pending_env with
+        | Some env when Int64.compare cr.pending_since 0L >= 0 ->
+          t.net.send ~dst:(primary_of t t.view) env
+        | Some _ | None -> ())
+      (Client_table.pending_clients t.clients);
   let stalled = t.last_exec = t.last_progress_exec in
   if stalled && t.status = Normal then begin
     (* Retransmit protocol messages for in-flight slots, in seqno order. *)

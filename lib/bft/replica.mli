@@ -101,14 +101,15 @@ type stats = {
   mutable pp_resent_relay : int;
       (** PRE-PREPAREs this primary resent because a request it had
           already assigned in this view arrived again (relayed by a backup
-          or retransmitted by its client); mirrored by the
+          or retransmitted by its client): one per backup whose PREPARE it
+          lacked, each sent to that backup alone; mirrored by the
           [bft.pre_prepare.resent.relay] counter *)
   mutable pp_resent_status : int;
       (** PRE-PREPAREs this primary resent through the status mechanism:
           the stalled-slot broadcast of its status timer and the unicast
           to a peer whose STATUS shows it behind; mirrored by
-          [bft.pre_prepare.resent.status].  Both counters count sends, so
-          a broadcast counts once. *)
+          [bft.pre_prepare.resent.status], which counts a broadcast
+          once. *)
 }
 
 type t

@@ -65,10 +65,11 @@ let create ~id =
   in
   { replica; chains; metrics; profile; sent; timers; executed }
 
+(* [body] sealed by principal [sender] for the group. *)
+let envelope t ~sender body = M.seal t.chains.(sender) ~sender ~n_receivers:config.Types.n body
+
 (* Deliver [body] as sent by principal [sender]. *)
-let deliver t ~sender body =
-  Replica.receive t.replica
-    (M.seal t.chains.(sender) ~sender ~n_receivers:config.Types.n body)
+let deliver t ~sender body = Replica.receive t.replica (envelope t ~sender body)
 
 let request ~client ts =
   { M.client; timestamp = ts; operation = Printf.sprintf "set:0:%Ld" ts; read_only = false }

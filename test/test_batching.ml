@@ -1,6 +1,7 @@
 (* Tests of request batching: correctness is untouched (exactly-once per
    request, convergent states) while concurrent load gets amortised into
-   fewer consensus instances. *)
+   fewer consensus instances, and fault-free traffic stays at what the
+   protocol needs. *)
 
 open Helpers
 module Runtime = Base_core.Runtime
@@ -95,6 +96,39 @@ let test_batching_with_view_change () =
   let more = closed_loop sys ~clients:4 ~duration_s:1.5 in
   Alcotest.(check bool) "progress after primary failure under batched load" true (more > 20)
 
+(* The fault-free traffic gate, read from the engine's per-kind counters.
+   Each client multicasts its request once, and a backup relays only a
+   request still waiting for its pre-prepare at a status tick, so REQUEST
+   stays at n per request plus the rare relay.  Each batch costs one
+   PRE-PREPARE per backup against 3f PREPAREs per backup, and a resend
+   goes only to a backup whose PREPARE the primary lacks, so PRE-PREPARE
+   stays near a third of PREPARE. *)
+let test_fault_free_traffic () =
+  let sys, _ = make_system ~seed:66L ~n_clients:4 () in
+  let per_client = 16 and completed = ref 0 in
+  let rec issue c i =
+    if i < per_client then
+      Runtime.invoke sys ~client:c ~operation:(Printf.sprintf "set:%d:t%d" c i) (fun _ ->
+          incr completed;
+          issue c (i + 1))
+  in
+  for c = 0 to 3 do
+    issue c 0
+  done;
+  Runtime.run_until_idle sys;
+  Alcotest.(check int) "every request completed" (4 * per_client) !completed;
+  let sent kind =
+    match List.assoc_opt kind (Engine.label_counters (Runtime.engine sys)) with
+    | Some c -> float_of_int c.Engine.sent_msgs
+    | None -> 0.0
+  in
+  let n = float_of_int (Runtime.config sys).Base_bft.Types.n in
+  let requests = sent "REQUEST" /. float_of_int !completed in
+  if requests > n +. 0.05 then Alcotest.failf "%.3f REQUEST messages per request" requests;
+  let ratio = sent "PRE-PREPARE" /. sent "PREPARE" in
+  if ratio > 0.4 then Alcotest.failf "PRE-PREPARE is %.3f x PREPARE" ratio
+  else Printf.printf "%.3f REQUEST per request; PRE-PREPARE %.3f x PREPARE\n" requests ratio
+
 let test_unbatched_equivalence () =
   (* batch_max = 1 must behave exactly like the original protocol. *)
   let sys, _ = make_system ~seed:64L ~batch_max:1 ~max_inflight:1 () in
@@ -168,6 +202,7 @@ let suite =
     Alcotest.test_case "batching is not lossy" `Quick test_batching_not_lossy;
     Alcotest.test_case "batching + view change" `Quick test_batching_with_view_change;
     Alcotest.test_case "unbatched equivalence" `Quick test_unbatched_equivalence;
+    Alcotest.test_case "fault-free traffic gate" `Quick test_fault_free_traffic;
     Alcotest.test_case "batching-equivalence property" `Quick
       test_batching_equivalence_property;
   ]

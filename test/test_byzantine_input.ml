@@ -1,6 +1,8 @@
 (* Byzantine-input hardening: malformed wire bytes must never crash a
    replica.  They are counted ([stats.rejected_decode], the [bft.reject.*]
-   metrics) and dropped, and the system keeps serving valid requests. *)
+   metrics) and dropped, and the system keeps serving valid requests.  A
+   client that withholds its request from the primary still gets it
+   ordered. *)
 
 module M = Base_bft.Message
 module Replica = Base_bft.Replica
@@ -130,6 +132,31 @@ let test_client_view_changes_rejected () =
   Alcotest.(check int) "client STATUS gets nothing back" 0 (List.length !(b.sent));
   Alcotest.(check int) "client STATUS counted" 1 (L.insane_count b)
 
+(* A client sends its request to the backups alone: every copy it sends
+   the primary is lost.  A backup's status tick relays the request before
+   its progress timer fires, so the honest primary orders it and no view
+   change happens. *)
+let test_request_to_backups_only () =
+  let sys, _ = Helpers.make_system () in
+  let client = Base_bft.Types.group_size (Runtime.config sys) in
+  (match Base_sim.Faultplan.parse (Printf.sprintf "at 0us drop %d->0 p=1 for 10s" client) with
+  | Ok plan -> Runtime.apply_faultplan sys plan
+  | Error e -> Alcotest.fail e);
+  (* The plan's events fire on the virtual clock: let the drop start. *)
+  let engine = Runtime.engine sys in
+  Base_sim.Engine.run
+    ~until:(Base_sim.Sim_time.add (Runtime.now sys) (Base_sim.Sim_time.of_sec 0.001))
+    engine;
+  let lost_before = (Base_sim.Engine.node_counters engine client).dropped_msgs in
+  Alcotest.(check string) "the request executes" "ok" (Helpers.set sys ~client:0 0 "relayed");
+  Alcotest.(check bool) "the primary's copy was lost" true
+    ((Base_sim.Engine.node_counters engine client).dropped_msgs > lost_before);
+  Array.iter
+    (fun (node : Runtime.replica_node) ->
+      Alcotest.(check int) "still in view 0" 0 (Replica.view node.replica);
+      Alcotest.(check int) "no view change" 0 (Replica.stats node.replica).view_changes)
+    (Runtime.replicas sys)
+
 let suite =
   [
     Alcotest.test_case "garbage bytes: counted, replica live" `Quick
@@ -138,4 +165,6 @@ let suite =
     Alcotest.test_case "client-sealed votes rejected" `Quick test_client_votes_rejected;
     Alcotest.test_case "client-sealed view changes and status rejected" `Quick
       test_client_view_changes_rejected;
+    Alcotest.test_case "request sent to the backups only executes" `Quick
+      test_request_to_backups_only;
   ]

@@ -1,18 +1,21 @@
 (* The replica's per-message bookkeeping: the live count of clients with a
    pending request, observed through the view-change timer it drives, the
    gate that keeps that bookkeeping independent of the client population,
-   and the primary's sealed PRE-PREPARE that every retransmission reuses. *)
+   the primary's sealed PRE-PREPARE that every retransmission reuses, the
+   relay of waiting requests on a backup's status tick, the batch that
+   holds each request once, and the bounded table of CHECKPOINT votes. *)
 
 module M = Base_bft.Message
 module Replica = Base_bft.Replica
 module Types = Base_bft.Types
 module Auth = Base_crypto.Auth
+module Digest = Base_crypto.Digest_t
 module L = Lone_replica
 
 let executed = Alcotest.(list (pair int int64))
 
-(* A backup relays a client's request to the primary and arms its progress
-   timer; executing the request leaves nothing pending, so the timer is
+(* A backup marks a client's request pending and arms its progress timer;
+   executing the request leaves nothing pending, so the timer is
    disarmed. *)
 let test_relay_arms_execute_disarms () =
   let b = L.create ~id:1 in
@@ -142,24 +145,134 @@ let resent_counter p cause =
   Base_obs.Metrics.counter_value
     (Base_obs.Metrics.counter p.L.metrics ("bft.pre_prepare.resent." ^ cause))
 
+let prepare_from p (pp : M.pre_prepare) b =
+  L.deliver p ~sender:b (M.Prepare { view = 0; seq = pp.seq; digest = pp.digest; replica = b })
+
 (* A request arriving again for a slot the primary already assigned in
-   this view (a backup's relay) resends the very envelope it sealed the
-   first time: no second seal. *)
+   this view (a backup's relay, a client's retransmission) gets the very
+   envelope it sealed the first time, with no second seal, unicast to each
+   backup whose PREPARE it lacks: here backup 1 alone, and nobody once
+   backup 1 has prepared too. *)
 let test_relay_resend_reuses_envelope () =
   let p = L.create ~id:0 in
   let r = L.request ~client:4 1L in
-  let _, first = assign_at_primary p r in
+  let pp, first = assign_at_primary p r in
+  List.iter (prepare_from p pp) [ 2; 3 ];
   let seals = L.seal_calls p in
   p.sent := [];
   L.deliver p ~sender:4 (M.Request r);
   let resent = pre_prepares !(p.sent) in
-  Alcotest.(check (list int)) "rebroadcast to every backup" [ 1; 2; 3 ]
-    (List.sort compare (List.map fst resent));
+  Alcotest.(check (list int)) "unicast to the backup without a PREPARE" [ 1 ] (List.map fst resent);
   Alcotest.(check bool) "the same sealed envelope" true
     (List.for_all (fun (_, env) -> env == first) resent);
   Alcotest.(check int) "no new bft.seal call" seals (L.seal_calls p);
   Alcotest.(check int) "counted as a relay resend" 1 (Replica.stats p.replica).pp_resent_relay;
-  Alcotest.(check int) "exported as a relay resend" 1 (resent_counter p "relay")
+  Alcotest.(check int) "exported as a relay resend" 1 (resent_counter p "relay");
+  prepare_from p pp 1;
+  p.sent := [];
+  L.deliver p ~sender:4 (M.Request r);
+  Alcotest.(check int) "every backup prepared: nothing resent" 0
+    (List.length (pre_prepares !(p.sent)))
+
+let relayed_requests (l : L.t) =
+  List.filter
+    (fun (_, (env : M.envelope)) -> match env.body with M.Request _ -> true | _ -> false)
+    !(l.sent)
+
+(* The client multicasts its request, so a backup sends nothing when it
+   arrives.  Each status tick relays the client's own envelope to the
+   primary while the request waits for its pre-prepare, and no tick relays
+   it once the pre-prepare is in. *)
+let test_backup_relays_on_status_tick () =
+  let b = L.create ~id:1 in
+  let r = L.request ~client:4 1L in
+  let env = L.envelope b ~sender:4 (M.Request r) in
+  Replica.receive b.replica env;
+  Alcotest.(check int) "nothing sent on receipt" 0 (List.length !(b.sent));
+  Alcotest.(check bool) "progress timer armed" true (L.vc_armed b);
+  for tick = 1 to 2 do
+    b.sent := [];
+    Replica.on_timer b.replica ~tag:"status" ~payload:0;
+    match relayed_requests b with
+    | [ (0, relayed) ] ->
+      Alcotest.(check bool) (Printf.sprintf "tick %d relays the client's envelope" tick) true
+        (relayed == env)
+    | _ -> Alcotest.failf "tick %d: expected one REQUEST, to the primary" tick
+  done;
+  L.deliver b ~sender:0 (M.Pre_prepare (L.pre_prepare ~seq:1 [ r ]));
+  b.sent := [];
+  Replica.on_timer b.replica ~tag:"status" ~payload:0;
+  Alcotest.(check int) "no relay once the pre-prepare is in" 0 (List.length (relayed_requests b))
+
+(* With its window full, the primary queues a request that arrives three
+   times: from the client, as the client's retransmission and as a backup's
+   relay.  When a slot frees, the PRE-PREPARE it sends carries the request
+   once. *)
+let test_batch_holds_request_once () =
+  let p = L.create ~id:0 in
+  let inflight = L.config.Types.max_inflight in
+  let first, _ = assign_at_primary p (L.request ~client:4 1L) in
+  for ts = 2 to inflight do
+    L.deliver p ~sender:4 (M.Request (L.request ~client:4 (Int64.of_int ts)))
+  done;
+  let r = L.request ~client:5 1L in
+  let client_copy = L.envelope p ~sender:5 (M.Request r) in
+  List.iter (Replica.receive p.replica)
+    [ client_copy; L.envelope p ~sender:5 (M.Request r); client_copy ];
+  let proposed_seqs () =
+    List.filter_map
+      (fun (_, (env : M.envelope)) ->
+        match env.body with M.Pre_prepare pp -> Some pp.seq | _ -> None)
+      !(p.sent)
+  in
+  Alcotest.(check int) "window full: the request waits" inflight
+    (List.fold_left max 0 (proposed_seqs ()));
+  List.iter (prepare_from p first) [ 1; 2 ];
+  List.iter
+    (fun b -> L.deliver p ~sender:b (M.Commit { view = 0; seq = 1; digest = first.digest; replica = b }))
+    [ 1; 2 ];
+  Alcotest.check executed "slot 1 executed" [ (4, 1L) ] !(p.executed);
+  match
+    List.filter_map
+      (fun (_, (env : M.envelope)) ->
+        match env.body with
+        | M.Pre_prepare pp when pp.seq = inflight + 1 -> Some pp.requests
+        | _ -> None)
+      !(p.sent)
+  with
+  | batch :: _ ->
+    Alcotest.(check (list (pair int int64))) "the request once" [ (5, 1L) ]
+      (List.map (fun (q : M.request) -> (q.client, q.timestamp)) batch)
+  | [] -> Alcotest.fail "no PRE-PREPARE for the freed slot"
+
+(* One Byzantine replica names 4 000 distinct checkpoints far above the log
+   window.  Above the window a backup keeps only each replica's highest
+   vote, so its live state does not grow with them, and a laggard still
+   finds its fetch target in f+1 honest votes. *)
+let test_far_checkpoints_bounded () =
+  let b = L.create ~id:1 in
+  let flood first last =
+    for k = first to last do
+      let seq = 1_000 + (16 * k) in
+      L.deliver b ~sender:2
+        (M.Checkpoint { seq; digest = Digest.of_string (string_of_int seq); replica = 2 })
+    done
+  in
+  flood 0 99;
+  let words () = Obj.reachable_words (Obj.repr b.replica) in
+  let before = words () in
+  flood 100 3_999;
+  let grown = words () - before in
+  if grown > 1_000 then Alcotest.failf "3 900 more far votes grew the replica by %d words" grown;
+  Alcotest.(check bool) "one replica certifies nothing" true (Replica.fetch_target b.replica = None);
+  let honest = Digest.of_string "state at 64" in
+  List.iter
+    (fun r -> L.deliver b ~sender:r (M.Checkpoint { seq = 64; digest = honest; replica = r }))
+    [ 0; 3 ];
+  match Replica.fetch_target b.replica with
+  | Some (64, d) when Digest.equal d honest -> ()
+  | Some (seq, _) -> Alcotest.failf "fetch target %d, expected 64" seq
+  | None -> Alcotest.fail "no fetch target from f+1 honest votes"
 
 (* Proactive recovery re-keys a replica.  The envelope sealed before the
    refresh carries a MAC the refreshed backup rejects, so the resend must be
@@ -263,6 +376,11 @@ let suite =
     Alcotest.test_case "internal request never pending" `Quick test_internal_request_not_pending;
     Alcotest.test_case "relay resend reuses the sealed pre-prepare" `Quick
       test_relay_resend_reuses_envelope;
+    Alcotest.test_case "backup relays a waiting request on its status tick" `Quick
+      test_backup_relays_on_status_tick;
+    Alcotest.test_case "a batch holds each request once" `Quick test_batch_holds_request_once;
+    Alcotest.test_case "far-off checkpoint votes stay bounded" `Quick
+      test_far_checkpoints_bounded;
     Alcotest.test_case "resend reseals after a key refresh" `Quick
       test_resend_reseals_after_key_refresh;
     Alcotest.test_case "status resend reuses the sealed pre-prepare" `Quick
